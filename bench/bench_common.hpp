@@ -2,11 +2,12 @@
 // registration case under mpisim and reports the columns of the paper's
 // tables (time to solution, FFT comm/exec, interpolation comm/exec).
 //
-// Scaling note (see DESIGN.md): this machine has 2 physical cores and no
-// MPI, so rank counts beyond 2 oversubscribe; the tables reproduce the
-// paper's *structure* (who wins, comm/exec split, trends), not TACC's
-// absolute numbers. Grid sizes are scaled down from the paper's 64^3-1024^3
-// to 32^3-96^3 so every binary finishes in seconds to a few minutes.
+// Scaling note: ranks are threads in one process, so on a small host (the
+// tables were sized on 2 physical cores, no MPI) rank counts beyond the
+// core count oversubscribe; the tables reproduce the paper's *structure*
+// (who wins, comm/exec split, trends), not TACC's absolute numbers. Grid
+// sizes are scaled down from the paper's 64^3-1024^3 to 32^3-96^3 so every
+// binary finishes in seconds to a few minutes.
 #pragma once
 
 #include <algorithm>

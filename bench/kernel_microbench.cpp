@@ -1,7 +1,9 @@
 // Kernel microbenchmarks (google-benchmark) backing the paper's section
-// III-C complexity discussion, plus the ablations listed in DESIGN.md:
+// III-C complexity discussion, plus ablations of the kernels they model:
 //
-//  * 3D FFT forward/inverse (the O(N^3 log N) spectral workhorse)
+//  * 1D FFT row cost per point, power-of-two vs planned mixed-radix sizes
+//  * 3D FFT forward/inverse (the O(N^3 log N) spectral workhorse), at
+//    power-of-two sizes and at 36 (mixed radix 4*3*3 on every axis)
 //  * spectral gradient (1 forward + 3 inverse FFTs, the fused variant)
 //  * raw tricubic kernel throughput (the paper's ~600 flops/point estimate)
 //  * interpolation plan: build (scatter phase) vs execute (reuse) — the
@@ -38,6 +40,24 @@ World& world(index_t n) {
   return *slot;
 }
 
+void BM_Fft1dRoundTrip(benchmark::State& state) {
+  // 64 contiguous rows through the batch entry points, as the 3D stages run
+  // them; forward + inverse keeps the data bounded across iterations. Items
+  // are row points per transform, so the reported rate is per point.
+  const index_t n = state.range(0), rows = 64;
+  fft::Fft1d plan(n);
+  std::vector<complex_t> x(n * rows);
+  for (index_t i = 0; i < n * rows; ++i)
+    x[i] = complex_t(std::sin(0.1 * i), std::cos(0.3 * i));
+  for (auto _ : state) {
+    plan.forward_batch(x.data(), rows);
+    plan.inverse_batch(x.data(), rows);
+    benchmark::DoNotOptimize(x.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n * rows);
+}
+BENCHMARK(BM_Fft1dRoundTrip)->Arg(32)->Arg(36)->Arg(64)->Arg(75)->Arg(300);
+
 void BM_Fft3dForward(benchmark::State& state) {
   World& w = world(state.range(0));
   auto& fft = w.ops.fft();
@@ -49,7 +69,7 @@ void BM_Fft3dForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * fft.local_real_size());
 }
-BENCHMARK(BM_Fft3dForward)->Arg(32)->Arg(64);
+BENCHMARK(BM_Fft3dForward)->Arg(32)->Arg(36)->Arg(64);
 
 void BM_Fft3dRoundTrip(benchmark::State& state) {
   World& w = world(state.range(0));
@@ -63,7 +83,7 @@ void BM_Fft3dRoundTrip(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * fft.local_real_size());
 }
-BENCHMARK(BM_Fft3dRoundTrip)->Arg(32)->Arg(64);
+BENCHMARK(BM_Fft3dRoundTrip)->Arg(32)->Arg(36)->Arg(64);
 
 void BM_Fft3dInverseMany(benchmark::State& state) {
   // Batched 3-component inverse (one exchange schedule for the whole vector

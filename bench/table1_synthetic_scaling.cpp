@@ -5,7 +5,8 @@
 //
 // Paper setup: beta = 1e-2, nt = 4, gtol = 1e-2, Gauss-Newton; grids
 // 64^3-512^3 on up to 1024 tasks (Maverick). Here: grids 32^3-64^3 on up to
-// 4 simulated ranks (2 physical cores) — see DESIGN.md.
+// 4 simulated ranks (2 physical cores) — see the scaling note in
+// bench_common.hpp.
 #include "bench_common.hpp"
 
 using namespace diffreg;

@@ -1,8 +1,9 @@
 // Reproduces the structure of Table IV (paper): strong scaling on the
 // real-world brain problem (NIREP na01/na02, 256x300x256, 2 Newton
 // iterations, beta = 1e-2). Here: procedural brain phantoms on a 48x56x48
-// grid — the same anisotropic, non-power-of-two shape class (56 exercises
-// the Bluestein FFT path exactly like 300 does) — see DESIGN.md.
+// grid — the same anisotropic, non-power-of-two shape class. Both 56 and
+// 300 are 61-smooth, so both take the planned mixed-radix FFT path
+// (56 = 4*2*7 reaches the generic radix-7 butterfly, 300 = 4*3*5*5).
 #include "bench_common.hpp"
 
 using namespace diffreg;

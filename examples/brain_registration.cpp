@@ -1,10 +1,10 @@
 // Multi-subject brain registration (the paper's real-world problem,
-// section IV-C, run here on procedural brain phantoms — see DESIGN.md).
+// section IV-C, run here on procedural brain phantoms).
 //
 // Uses the paper's anisotropic grid shape (256 x 300 x 256, scaled down to
-// 48 x 56 x 48 so it runs in seconds; 56 exercises the non-power-of-two
-// Bluestein FFT path exactly like 300 does), beta continuation, and dumps
-// the Fig. 6/7 panels as PGM slices: reference, template, residual before,
+// 48 x 56 x 48 so it runs in seconds; 56 = 4*2*7 takes the non-power-of-two
+// mixed-radix FFT path exactly like 300 = 4*3*5*5 does), beta continuation,
+// and dumps the Fig. 6/7 panels as PGM slices: reference, template, residual before,
 // residual after, det(grad y) map, deformed template.
 #include <cstdio>
 

@@ -2,7 +2,7 @@
 //
 // diffreg reproduces "Distributed-Memory Large Deformation Diffeomorphic 3D
 // Image Registration" (Mang, Gholami, Biros; SC16). See README.md for a
-// quickstart and DESIGN.md for the architecture.
+// quickstart and docs/ARCHITECTURE.md for the architecture.
 #pragma once
 
 #include "common/logger.hpp"

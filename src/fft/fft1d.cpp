@@ -10,27 +10,160 @@ namespace diffreg::fft {
 
 namespace {
 constexpr real_t kPi = std::numbers::pi_v<real_t>;
+
+// Mixed-radix butterflies (decimation in time). Each combines `radix`
+// adjacent length-m sub-transforms of one block in place; `roots` is the
+// forward or conjugated root table of the full size n, read at multiples of
+// `stride` = n / (radix*m); in the radix-2..5 butterflies the largest index,
+// (radix-1)*(m-1)*stride, stays below n.
+
+// diffreg:zero-alloc
+void bfly2(complex_t* out, index_t m, index_t stride, const complex_t* roots) {
+  complex_t* out1 = out + m;
+  for (index_t k = 0; k < m; ++k) {
+    const complex_t t = out1[k] * roots[k * stride];
+    out1[k] = out[k] - t;
+    out[k] += t;
+  }
 }
 
-index_t Fft1d::smallest_prime_factor(index_t n) {
-  for (index_t f = 2; f * f <= n; ++f)
-    if (n % f == 0) return f;
-  return n;
+// diffreg:zero-alloc
+void bfly3(complex_t* out, index_t m, index_t stride, const complex_t* roots) {
+  // roots[stride*m] is the primitive cube root in this direction; its real
+  // part is -1/2, so only its imaginary part enters.
+  const real_t w_im = roots[stride * m].imag();
+  complex_t* out1 = out + m;
+  complex_t* out2 = out + 2 * m;
+  for (index_t k = 0; k < m; ++k) {
+    const complex_t s1 = out1[k] * roots[k * stride];
+    const complex_t s2 = out2[k] * roots[2 * k * stride];
+    const complex_t sum = s1 + s2;
+    const complex_t diff = (s1 - s2) * w_im;
+    const complex_t mid = out[k] - sum * real_t(0.5);
+    out[k] += sum;
+    out2[k] = complex_t(mid.real() + diff.imag(), mid.imag() - diff.real());
+    out1[k] = complex_t(mid.real() - diff.imag(), mid.imag() + diff.real());
+  }
 }
 
-index_t Fft1d::largest_prime_factor(index_t n) {
-  index_t largest = 1;
-  for (index_t f = 2; n > 1; ++f) {
-    while (n % f == 0) {
-      largest = f;
-      n /= f;
-    }
-    if (f * f > n && n > 1) {
-      largest = std::max(largest, n);
-      break;
+// diffreg:zero-alloc
+void bfly4(complex_t* out, index_t m, index_t stride, const complex_t* roots,
+           bool inverse) {
+  // The quarter-turn rotation is exact: -i forward, +i inverse.
+  complex_t* out1 = out + m;
+  complex_t* out2 = out + 2 * m;
+  complex_t* out3 = out + 3 * m;
+  for (index_t k = 0; k < m; ++k) {
+    const complex_t s0 = out1[k] * roots[k * stride];
+    const complex_t s1 = out2[k] * roots[2 * k * stride];
+    const complex_t s2 = out3[k] * roots[3 * k * stride];
+    const complex_t lo = out[k] - s1;
+    const complex_t hi = out[k] + s1;
+    const complex_t sum = s0 + s2;
+    const complex_t d = s0 - s2;
+    const complex_t rot = inverse ? complex_t(-d.imag(), d.real())
+                                  : complex_t(d.imag(), -d.real());
+    out[k] = hi + sum;
+    out2[k] = hi - sum;
+    out1[k] = lo + rot;
+    out3[k] = lo - rot;
+  }
+}
+
+// diffreg:zero-alloc
+void bfly5(complex_t* out, index_t m, index_t stride, const complex_t* roots) {
+  // ya, yb: the primitive fifth root and its square in this direction.
+  const complex_t ya = roots[stride * m];
+  const complex_t yb = roots[2 * stride * m];
+  complex_t* out1 = out + m;
+  complex_t* out2 = out + 2 * m;
+  complex_t* out3 = out + 3 * m;
+  complex_t* out4 = out + 4 * m;
+  for (index_t k = 0; k < m; ++k) {
+    const complex_t s0 = out[k];
+    const complex_t s1 = out1[k] * roots[k * stride];
+    const complex_t s2 = out2[k] * roots[2 * k * stride];
+    const complex_t s3 = out3[k] * roots[3 * k * stride];
+    const complex_t s4 = out4[k] * roots[4 * k * stride];
+    const complex_t s7 = s1 + s4, s10 = s1 - s4;
+    const complex_t s8 = s2 + s3, s9 = s2 - s3;
+    out[k] = s0 + s7 + s8;
+    const complex_t s5(
+        s0.real() + s7.real() * ya.real() + s8.real() * yb.real(),
+        s0.imag() + s7.imag() * ya.real() + s8.imag() * yb.real());
+    const complex_t s6(s10.imag() * ya.imag() + s9.imag() * yb.imag(),
+                       -s10.real() * ya.imag() - s9.real() * yb.imag());
+    out1[k] = s5 - s6;
+    out4[k] = s5 + s6;
+    const complex_t s11(
+        s0.real() + s7.real() * yb.real() + s8.real() * ya.real(),
+        s0.imag() + s7.imag() * yb.real() + s8.imag() * ya.real());
+    const complex_t s12(-s10.imag() * yb.imag() + s9.imag() * ya.imag(),
+                        s10.real() * yb.imag() - s9.real() * ya.imag());
+    out2[k] = s11 + s12;
+    out3[k] = s11 - s12;
+  }
+}
+
+/// Prime radix p in 7..61: direct O(p^2) combine through `scratch`
+/// (length >= p); twiddle indices wrap modulo n by one subtraction.
+// diffreg:zero-alloc
+void bfly_generic(complex_t* out, index_t p, index_t m, index_t stride,
+                  index_t n, const complex_t* roots, complex_t* scratch) {
+  for (index_t u = 0; u < m; ++u) {
+    for (index_t q = 0; q < p; ++q) scratch[q] = out[u + q * m];
+    for (index_t q1 = 0, k = u; q1 < p; ++q1, k += m) {
+      // Output k takes sum_q scratch[q] * w_n^(q*k*stride); stride*k < n,
+      // so the running index wraps with one subtraction.
+      const index_t step = stride * k;
+      index_t tw = 0;
+      complex_t acc = scratch[0];
+      for (index_t q = 1; q < p; ++q) {
+        tw += step;
+        if (tw >= n) tw -= n;
+        acc += scratch[q] * roots[tw];
+      }
+      out[k] = acc;
     }
   }
-  return largest;
+}
+
+}  // namespace
+
+std::vector<Fft1d::MixedStage> Fft1d::plan_stages(index_t n) {
+  // Radix 4 first, then 2, then odd trial divisors; whatever is left once
+  // the divisor passes sqrt(n) is prime. Returns the radices outermost first
+  // with each stage's sub-transform length m and twiddle stride.
+  std::vector<MixedStage> stages;
+  const index_t full = n;
+  index_t p = 4;
+  while (n > 1) {
+    while (n % p != 0) {
+      p = (p == 4) ? 2 : (p == 2) ? 3 : p + 2;
+      if (p * p > n) p = n;
+    }
+    n /= p;
+    stages.push_back({p, n, full / (p * n)});
+  }
+  return stages;
+}
+
+std::vector<index_t> Fft1d::make_digit_reversal(
+    index_t n, const std::vector<MixedStage>& stages) {
+  // Decimation in time: output block j of a stage holds the sub-sequence
+  // that starts at input offset j*stride with step stride*radix. Unrolling
+  // every stage gives, for each output slot, the input index it reads.
+  std::vector<index_t> perm(n);
+  for (index_t i = 0; i < n; ++i) {
+    index_t pos = i, src = 0, step = 1;
+    for (const MixedStage& st : stages) {
+      src += (pos / st.m) * step;
+      pos %= st.m;
+      step *= st.radix;
+    }
+    perm[i] = src;
+  }
+  return perm;
 }
 
 Fft1d::Fft1d(index_t n) : n_(n) {
@@ -41,14 +174,23 @@ Fft1d::Fft1d(index_t n) : n_(n) {
     inv_twiddles_ = conj_all(twiddles_);
     bitrev_ = make_bitrev(n_);
     swap_pairs_ = make_swap_pairs(bitrev_);
-  } else if (largest_prime_factor(n) <= 61) {
+  } else if (std::vector<MixedStage> stages = plan_stages(n);
+             std::all_of(stages.begin(), stages.end(),
+                         [](const MixedStage& st) { return st.radix <= 61; })) {
     path_ = Path::kMixedRadix;
+    stages_ = std::move(stages);
+    digit_rev_ = make_digit_reversal(n_, stages_);
     root_table_.resize(n_);
     for (index_t t = 0; t < n_; ++t) {
       const real_t phase = -2 * kPi * static_cast<real_t>(t) / static_cast<real_t>(n_);
       root_table_[t] = complex_t(std::cos(phase), std::sin(phase));
     }
+    inv_root_table_ = conj_all(root_table_);
     mixed_scratch_.resize(n_);
+    index_t max_generic = 0;
+    for (const MixedStage& st : stages_)
+      if (st.radix > 5) max_generic = std::max(max_generic, st.radix);
+    radix_scratch_.resize(max_generic);
   } else {
     path_ = Path::kBluestein;
     m_ = next_pow2(2 * n_ - 1);
@@ -238,38 +380,45 @@ void Fft1d::bluestein_transform(complex_t* data, bool inverse, real_t scale) {
     for (index_t k = 0; k < n_; ++k) data[k] = std::conj(data[k]) * scale;
 }
 
-void Fft1d::mixed_radix_rec(complex_t* x, complex_t* tmp, index_t n,
-                            index_t rs) {
-  if (n == 1) return;
-  const index_t r = smallest_prime_factor(n);
-  const index_t m = n / r;
-
-  if (r == n) {
-    // Prime base case: naive DFT via the exact root table, O(r^2) with
-    // r <= 61.
-    for (index_t k = 0; k < n; ++k) {
-      complex_t sum(0, 0);
-      for (index_t t = 0; t < n; ++t)
-        sum += x[t] * root_table_[(rs * ((k * t) % n)) % n_];
-      tmp[k] = sum;
+// diffreg:zero-alloc
+void Fft1d::mixed_stages(complex_t* row, const complex_t* roots,
+                         bool inverse) {
+  for (auto it = stages_.rbegin(); it != stages_.rend(); ++it) {
+    const index_t p = it->radix, m = it->m, stride = it->stride;
+    const index_t span = p * m;
+    for (complex_t* blk = row; blk != row + n_; blk += span) {
+      switch (p) {
+        case 2: bfly2(blk, m, stride, roots); break;
+        case 3: bfly3(blk, m, stride, roots); break;
+        case 4: bfly4(blk, m, stride, roots, inverse); break;
+        case 5: bfly5(blk, m, stride, roots); break;
+        default:
+          bfly_generic(blk, p, m, stride, n_, roots, radix_scratch_.data());
+      }
     }
-    std::copy(tmp, tmp + n, x);
-    return;
   }
+}
 
-  // Decimation in time: sub-sequence j holds x[t*r + j].
-  for (index_t j = 0; j < r; ++j)
-    for (index_t t = 0; t < m; ++t) tmp[j * m + t] = x[t * r + j];
-  for (index_t j = 0; j < r; ++j)
-    mixed_radix_rec(tmp + j * m, x + j * m, m, rs * r);
-
-  // Combine: X[k] = sum_j w_n^{j k} Y_j[k mod m].
-  for (index_t k = 0; k < n; ++k) {
-    const index_t km = k % m;
-    complex_t sum = tmp[km];  // j = 0 term (w^0 = 1)
-    for (index_t j = 1; j < r; ++j)
-      sum += tmp[j * m + km] * root_table_[(rs * ((j * k) % n)) % n_];
-    x[k] = sum;
+// diffreg:zero-alloc
+void Fft1d::mixed_rows(const complex_t* src, complex_t* dst, index_t count,
+                       bool inverse, real_t scale) {
+  const complex_t* roots = (inverse ? inv_root_table_ : root_table_).data();
+  const index_t* perm = digit_rev_.data();
+  for (index_t r = 0; r < count; ++r) {
+    const complex_t* s = src + r * n_;
+    complex_t* d = dst + r * n_;
+    if (s == d) {
+      std::copy(d, d + n_, mixed_scratch_.data());
+      s = mixed_scratch_.data();
+    }
+    // The digit-reversal gather is the first pass; the 1/N scale of the
+    // normalized inverse rides along with it (the transform is linear).
+    if (scale != real_t(1)) {
+      for (index_t i = 0; i < n_; ++i) d[i] = s[perm[i]] * scale;
+    } else {
+      for (index_t i = 0; i < n_; ++i) d[i] = s[perm[i]];
+    }
+    mixed_stages(d, roots, inverse);
   }
 }
 
@@ -279,17 +428,10 @@ void Fft1d::transform(complex_t* data, bool inverse) {
     case Path::kPow2:
       pow2_transform(data, n_, inverse);
       break;
-    case Path::kMixedRadix: {
-      // Inverse via conjugation: IDFT(x) = conj(DFT(conj(x))) / n.
-      if (inverse)
-        for (index_t k = 0; k < n_; ++k) data[k] = std::conj(data[k]);
-      mixed_radix_rec(data, mixed_scratch_.data(), n_, 1);
-      if (inverse) {
-        const real_t scale = real_t(1) / static_cast<real_t>(n_);
-        for (index_t k = 0; k < n_; ++k) data[k] = std::conj(data[k]) * scale;
-      }
+    case Path::kMixedRadix:
+      mixed_rows(data, data, 1, inverse,
+                 inverse ? real_t(1) / static_cast<real_t>(n_) : real_t(1));
       break;
-    }
     case Path::kBluestein:
       bluestein_transform(data, inverse,
                           real_t(1) / static_cast<real_t>(n_));
@@ -303,14 +445,22 @@ void Fft1d::forward_batch(complex_t* data, index_t count) {
     pow2_batch(data, count, /*inverse=*/false, /*scale=*/real_t(1));
     return;
   }
+  if (path_ == Path::kMixedRadix) {
+    mixed_rows(data, data, count, /*inverse=*/false, /*scale=*/real_t(1));
+    return;
+  }
   for (index_t r = 0; r < count; ++r) forward(data + r * n_);
 }
 
 void Fft1d::inverse_batch(complex_t* data, index_t count) {
   if (n_ == 1) return;
+  const real_t scale = real_t(1) / static_cast<real_t>(n_);
   if (path_ == Path::kPow2) {
-    pow2_batch(data, count, /*inverse=*/true,
-               real_t(1) / static_cast<real_t>(n_));
+    pow2_batch(data, count, /*inverse=*/true, scale);
+    return;
+  }
+  if (path_ == Path::kMixedRadix) {
+    mixed_rows(data, data, count, /*inverse=*/true, scale);
     return;
   }
   for (index_t r = 0; r < count; ++r) inverse(data + r * n_);
@@ -323,13 +473,7 @@ void Fft1d::inverse_batch_noscale(complex_t* data, index_t count) {
       pow2_batch(data, count, /*inverse=*/true, /*scale=*/real_t(1));
       break;
     case Path::kMixedRadix:
-      // Unnormalized IDFT(x) = conj(DFT(conj(x))).
-      for (index_t r = 0; r < count; ++r) {
-        complex_t* row = data + r * n_;
-        for (index_t k = 0; k < n_; ++k) row[k] = std::conj(row[k]);
-        mixed_radix_rec(row, mixed_scratch_.data(), n_, 1);
-        for (index_t k = 0; k < n_; ++k) row[k] = std::conj(row[k]);
-      }
+      mixed_rows(data, data, count, /*inverse=*/true, /*scale=*/real_t(1));
       break;
     case Path::kBluestein:
       for (index_t r = 0; r < count; ++r)
@@ -345,7 +489,11 @@ void Fft1d::inverse_batch_noscale(const complex_t* src, complex_t* dst,
     std::copy(src, src + count, dst);
     return;
   }
-  if (path_ != Path::kPow2) {
+  if (path_ == Path::kMixedRadix) {
+    mixed_rows(src, dst, count, /*inverse=*/true, /*scale=*/real_t(1));
+    return;
+  }
+  if (path_ == Path::kBluestein) {
     std::copy(src, src + count * n_, dst);
     inverse_batch_noscale(dst, count);
     return;

@@ -318,7 +318,8 @@ void DistributedFft3d::inverse_many(std::span<const complex_t* const> specs,
   const index_t n2kl = decomp_->srange2().size();
 
   {  // Stage E inverse, out-of-place into stage_e_ (the caller's spectrum
-     // stays const; no copy pass — the bit-reversal gather reads it).
+     // stays const; no copy pass — the 1D plan's input permutation,
+     // bit-reversal or mixed-radix digit reversal, gathers from it).
      // Unnormalized: the whole 1/(N1 N2 N3) is folded into stage A's
      // scatter, saving two full scaling sweeps.
     ScopedTimer t(timings, TimeKind::kFftExec);

@@ -1,6 +1,5 @@
 // Synthetic registration problems (paper section IV-A1) and procedural
-// "brain" phantoms that stand in for the NIREP MRI data (see DESIGN.md,
-// substitutions table).
+// "brain" phantoms that stand in for the NIREP MRI data.
 //
 // All generators evaluate a closed-form intensity function on the locally
 // owned pencil block, so they scale to any decomposition without IO.

@@ -1,5 +1,7 @@
-// FFT stack tests: 1D engine against a naive DFT (power-of-two and
-// Bluestein sizes), Parseval/linearity properties, serial 3D round trips and
+// FFT stack tests: 1D engine against a naive DFT (power-of-two, every
+// mixed-radix butterfly, and Bluestein sizes), Parseval/linearity
+// properties, bitwise batch and out-of-place contracts, serial 3D round
+// trips and
 // spectral values, and the distributed pencil FFT against the serial
 // reference for several process grids and uneven block sizes.
 #include <gtest/gtest.h>
@@ -79,8 +81,11 @@ TEST_P(Fft1dSize, ParsevalHolds) {
 
 INSTANTIATE_TEST_SUITE_P(PowersOfTwo, Fft1dSize,
                          ::testing::Values(1, 2, 4, 8, 64, 256));
+// Covers every butterfly: radix 2 (6, 24, 122), 3 (27, 45), 4 (12, 24, 36),
+// 5 (45, 75, 300), generic primes 7 (49) through 61 (61, 122).
 INSTANTIATE_TEST_SUITE_P(MixedRadix, Fft1dSize,
-                         ::testing::Values(3, 5, 6, 12, 27, 48, 75, 300));
+                         ::testing::Values(3, 5, 6, 12, 24, 27, 36, 45, 48, 49,
+                                           61, 75, 122, 300));
 INSTANTIATE_TEST_SUITE_P(BluesteinLargePrime, Fft1dSize,
                          ::testing::Values(67, 127, 134));
 
@@ -98,18 +103,41 @@ TEST(Fft1d, LinearityAndDelta) {
   }
 }
 
-TEST(Fft1d, BatchTransformsRowsIndependently) {
-  const index_t n = 32, rows = 5;
+class Fft1dBatch : public ::testing::TestWithParam<index_t> {};
+
+TEST_P(Fft1dBatch, BatchTransformsRowsIndependently) {
+  const index_t n = GetParam(), rows = 5;
   auto all = random_signal(n * rows, 11);
   auto expected = all;
   Fft1d plan(n);
   for (index_t r = 0; r < rows; ++r) plan.forward(expected.data() + r * n);
   plan.forward_batch(all.data(), rows);
   for (index_t i = 0; i < n * rows; ++i) {
-    EXPECT_NEAR(all[i].real(), expected[i].real(), 1e-12);
-    EXPECT_NEAR(all[i].imag(), expected[i].imag(), 1e-12);
+    EXPECT_EQ(all[i].real(), expected[i].real()) << "i=" << i;
+    EXPECT_EQ(all[i].imag(), expected[i].imag()) << "i=" << i;
   }
 }
+
+TEST_P(Fft1dBatch, OutOfPlaceInverseMatchesInPlaceBitwise) {
+  const index_t n = GetParam(), rows = 4;
+  const auto src = random_signal(n * rows, 23);
+  const auto src_copy = src;
+  auto in_place = src;
+  std::vector<complex_t> out(n * rows);
+  Fft1d plan(n);
+  plan.inverse_batch_noscale(in_place.data(), rows);
+  plan.inverse_batch_noscale(src.data(), out.data(), rows);
+  for (index_t i = 0; i < n * rows; ++i) {
+    EXPECT_EQ(out[i].real(), in_place[i].real()) << "i=" << i;
+    EXPECT_EQ(out[i].imag(), in_place[i].imag()) << "i=" << i;
+    EXPECT_EQ(src[i], src_copy[i]) << "src modified at i=" << i;
+  }
+}
+
+// 32: radix 2; 36, 75, 49: mixed radix (special and generic butterflies);
+// 67: Bluestein.
+INSTANTIATE_TEST_SUITE_P(Sizes, Fft1dBatch,
+                         ::testing::Values(32, 36, 49, 75, 67));
 
 TEST(Fft1d, ThrowsOnNonPositiveSize) {
   EXPECT_THROW(Fft1d(0), std::invalid_argument);
