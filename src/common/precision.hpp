@@ -6,10 +6,10 @@
 //
 //  * WirePrecision — the payload width of the hot exchange paths (FFT
 //    transposes, ghost halos, interpolation value scatter, resample remap).
-//    kF32 ships every message at half the bytes: senders down-convert into
-//    caller-owned fp32 staging buffers, receivers up-convert back, and the
-//    Timings counters record the bytes that actually crossed the wire plus
-//    the volume saved by the narrowing.
+//    kF32 ships every message at half the bytes: each plan owns an
+//    mpisim::WireStage, the exchange down-converts into its fp32 staging
+//    and up-converts on receive, and the Timings counters record the bytes
+//    that actually crossed the wire plus the volume saved by the narrowing.
 //  * Compute precision of the inner Krylov solve — fp32 storage for the PCG
 //    recurrence vectors with fp64 accumulation in every dot product/norm
 //    (see core/pcg.hpp); the outer Newton step, gradient, objective, and

@@ -34,7 +34,7 @@ void transpose_block(const complex_t* src, index_t src_stride, complex_t* dst,
 DistributedFft3d::DistributedFft3d(PencilDecomp& decomp, WirePrecision wire,
                                    bool overlap)
     : decomp_(&decomp),
-      wire_(wire),
+      stage_(wire),
       overlap_(overlap),
       fft1_(decomp.dims()[0]),
       fft2_(decomp.dims()[1]),
@@ -79,45 +79,13 @@ DistributedFft3d::DistributedFft3d(PencilDecomp& decomp, WirePrecision wire,
       std::max({a_stride_, b_stride_, s_stride_});
   send_buf_.resize(kMaxBatch * max_total);
   recv_buf_.resize(kMaxBatch * max_total);
-  if (wire_ == WirePrecision::kF32) {
-    send_buf32_.resize(kMaxBatch * max_total);
-    recv_buf32_.resize(kMaxBatch * max_total);
-  }
+  stage_.reserve(send_buf_.size(), recv_buf_.size());
   const int max_p = std::max(p1, p2);
   scaled_send_counts_.resize(max_p);
   scaled_recv_counts_.resize(max_p);
 }
 
-void DistributedFft3d::exchange(mpisim::Communicator& comm, int npeers,
-                                int ncomp,
-                                const std::vector<index_t>& send_counts,
-                                const std::vector<index_t>& recv_counts,
-                                index_t send_total, index_t recv_total,
-                                int tag) {
-  for (int q = 0; q < npeers; ++q) {
-    scaled_send_counts_[q] = ncomp * send_counts[q];
-    scaled_recv_counts_[q] = ncomp * recv_counts[q];
-  }
-  comm.set_time_kind(TimeKind::kFftComm);
-  const std::span<const complex_t> send(
-      send_buf_.data(), static_cast<size_t>(ncomp * send_total));
-  const std::span<const index_t> scounts(
-      scaled_send_counts_.data(), static_cast<size_t>(npeers));
-  const std::span<complex_t> recv(recv_buf_.data(),
-                                  static_cast<size_t>(ncomp * recv_total));
-  const std::span<const index_t> rcounts(
-      scaled_recv_counts_.data(), static_cast<size_t>(npeers));
-  if (wire_ == WirePrecision::kF32) {
-    comm.alltoallv_converted(
-        send, scounts, recv, rcounts,
-        std::span<complex32_t>(send_buf32_.data(), send.size()),
-        std::span<complex32_t>(recv_buf32_.data(), recv.size()), tag);
-  } else {
-    comm.alltoallv(send, scounts, recv, rcounts, tag);
-  }
-}
-
-mpisim::CommRequest DistributedFft3d::iexchange(
+mpisim::CommRequest DistributedFft3d::post_exchange(
     mpisim::Communicator& comm, int npeers, int ncomp,
     const std::vector<index_t>& send_counts,
     const std::vector<index_t>& recv_counts, index_t send_total,
@@ -135,12 +103,10 @@ mpisim::CommRequest DistributedFft3d::iexchange(
                                   static_cast<size_t>(ncomp * recv_total));
   const std::span<const index_t> rcounts(
       scaled_recv_counts_.data(), static_cast<size_t>(npeers));
-  if (wire_ == WirePrecision::kF32)
-    return comm.ialltoallv_converted(
-        send, scounts, recv, rcounts,
-        std::span<complex32_t>(send_buf32_.data(), send.size()),
-        std::span<complex32_t>(recv_buf32_.data(), recv.size()), tag);
-  return comm.ialltoallv(send, scounts, recv, rcounts, tag);
+  if (overlap_)
+    return comm.ialltoallv(send, scounts, recv, rcounts, stage_, tag);
+  comm.alltoallv(send, scounts, recv, rcounts, stage_, tag);
+  return {};
 }
 
 // ---------------------------------------------------------------------------
@@ -410,19 +376,13 @@ void DistributedFft3d::row_transpose_forward(int ncomp) {
       base += ncomp * row_recv_counts_[q];
     }
   };
-  if (overlap_) {
-    // Self chunk lands locally at post time; unpack it under the flight.
-    auto req = iexchange(row_comm, p2, ncomp, row_send_counts_,
-                         row_recv_counts_, a_stride_, b_stride_, kTagRowFwd);
-    unpack(/*want_self=*/true);
-    req.wait();
-    unpack(/*want_self=*/false);
-  } else {
-    exchange(row_comm, p2, ncomp, row_send_counts_, row_recv_counts_,
-             a_stride_, b_stride_, kTagRowFwd);
-    unpack(/*want_self=*/true);
-    unpack(/*want_self=*/false);
-  }
+  // The self chunk lands locally at post time, so an overlap plan unpacks
+  // it under the flight.
+  auto req = post_exchange(row_comm, p2, ncomp, row_send_counts_,
+                           row_recv_counts_, a_stride_, b_stride_, kTagRowFwd);
+  unpack(/*want_self=*/true);
+  req.wait();
+  unpack(/*want_self=*/false);
 }
 
 void DistributedFft3d::row_transpose_inverse(int ncomp) {
@@ -481,18 +441,11 @@ void DistributedFft3d::row_transpose_inverse(int ncomp) {
       base += ncomp * row_send_counts_[q];
     }
   };
-  if (overlap_) {
-    auto req = iexchange(row_comm, p2, ncomp, row_recv_counts_,
-                         row_send_counts_, b_stride_, a_stride_, kTagRowInv);
-    unpack(/*want_self=*/true);
-    req.wait();
-    unpack(/*want_self=*/false);
-  } else {
-    exchange(row_comm, p2, ncomp, row_recv_counts_, row_send_counts_,
-             b_stride_, a_stride_, kTagRowInv);
-    unpack(/*want_self=*/true);
-    unpack(/*want_self=*/false);
-  }
+  auto req = post_exchange(row_comm, p2, ncomp, row_recv_counts_,
+                           row_send_counts_, b_stride_, a_stride_, kTagRowInv);
+  unpack(/*want_self=*/true);
+  req.wait();
+  unpack(/*want_self=*/false);
 }
 
 void DistributedFft3d::col_transpose_forward(
@@ -552,18 +505,11 @@ void DistributedFft3d::col_transpose_forward(
       base += ncomp * col_recv_counts_[q];
     }
   };
-  if (overlap_) {
-    auto req = iexchange(col_comm, p1, ncomp, col_send_counts_,
-                         col_recv_counts_, b_stride_, s_stride_, kTagColFwd);
-    unpack(/*want_self=*/true);
-    req.wait();
-    unpack(/*want_self=*/false);
-  } else {
-    exchange(col_comm, p1, ncomp, col_send_counts_, col_recv_counts_,
-             b_stride_, s_stride_, kTagColFwd);
-    unpack(/*want_self=*/true);
-    unpack(/*want_self=*/false);
-  }
+  auto req = post_exchange(col_comm, p1, ncomp, col_send_counts_,
+                           col_recv_counts_, b_stride_, s_stride_, kTagColFwd);
+  unpack(/*want_self=*/true);
+  req.wait();
+  unpack(/*want_self=*/false);
 }
 
 void DistributedFft3d::col_transpose_inverse(int ncomp) {
@@ -622,18 +568,11 @@ void DistributedFft3d::col_transpose_inverse(int ncomp) {
       base += ncomp * col_send_counts_[q];
     }
   };
-  if (overlap_) {
-    auto req = iexchange(col_comm, p1, ncomp, col_recv_counts_,
-                         col_send_counts_, s_stride_, b_stride_, kTagColInv);
-    unpack(/*want_self=*/true);
-    req.wait();
-    unpack(/*want_self=*/false);
-  } else {
-    exchange(col_comm, p1, ncomp, col_recv_counts_, col_send_counts_,
-             s_stride_, b_stride_, kTagColInv);
-    unpack(/*want_self=*/true);
-    unpack(/*want_self=*/false);
-  }
+  auto req = post_exchange(col_comm, p1, ncomp, col_recv_counts_,
+                           col_send_counts_, s_stride_, b_stride_, kTagColInv);
+  unpack(/*want_self=*/true);
+  req.wait();
+  unpack(/*want_self=*/false);
 }
 
 }  // namespace diffreg::fft

@@ -67,7 +67,7 @@ class DistributedFft3d {
                             bool overlap = false);
 
   const grid::PencilDecomp& decomp() const { return *decomp_; }
-  WirePrecision wire() const { return wire_; }
+  WirePrecision wire() const { return stage_.wire(); }
   bool overlap() const { return overlap_; }
   index_t local_real_size() const { return decomp_->local_real_size(); }
   index_t local_spectral_size() const {
@@ -110,25 +110,20 @@ class DistributedFft3d {
   void col_transpose_inverse(int ncomp);
 
   /// Scales the per-component peer counts by ncomp into the scratch count
-  /// arrays and runs the span alltoallv over send_buf_/recv_buf_.
-  void exchange(mpisim::Communicator& comm, int npeers, int ncomp,
-                const std::vector<index_t>& send_counts,
-                const std::vector<index_t>& recv_counts, index_t send_total,
-                index_t recv_total, int tag);
-
-  /// Nonblocking twin of exchange(): posts the identical alltoallv and
-  /// returns its completion handle; the SELF chunk of recv_buf_ is already
-  /// valid on return (delivered locally at post), the peer chunks only
-  /// after wait().
-  mpisim::CommRequest iexchange(mpisim::Communicator& comm, int npeers,
-                                int ncomp,
-                                const std::vector<index_t>& send_counts,
-                                const std::vector<index_t>& recv_counts,
-                                index_t send_total, index_t recv_total,
-                                int tag);
+  /// arrays and runs the span alltoallv over send_buf_/recv_buf_ at the
+  /// plan's wire precision. An overlap plan posts it nonblocking and
+  /// returns the pending request; otherwise the exchange has completed and
+  /// the returned request is already done. Either way the SELF chunk of
+  /// recv_buf_ is valid on return, the peer chunks after wait().
+  mpisim::CommRequest post_exchange(mpisim::Communicator& comm, int npeers,
+                                    int ncomp,
+                                    const std::vector<index_t>& send_counts,
+                                    const std::vector<index_t>& recv_counts,
+                                    index_t send_total, index_t recv_total,
+                                    int tag);
 
   grid::PencilDecomp* decomp_;
-  WirePrecision wire_;
+  mpisim::WireStage<complex_t> stage_;  // wire format of both transposes
   bool overlap_ = false;
   Fft1d fft1_, fft2_, fft3_;
 
@@ -153,12 +148,11 @@ class DistributedFft3d {
   std::vector<complex_t> arow_block_;  // [ablock_rows_][N3]
 
   // Persistent flat transpose buffers plus per-peer element counts for one
-  // component; `exchange` scales them by the batch size into the scratch
-  // arrays, so no call allocates. The fp32 staging pair is sized eagerly
-  // (like send_buf_/recv_buf_) when the plan ships an fp32 wire format, so
-  // the zero-allocation guarantee holds on the mixed path too.
+  // component; `post_exchange` scales them by the batch size into the
+  // scratch arrays, so no call allocates. The stage's fp32 staging is sized
+  // eagerly alongside send_buf_/recv_buf_ on a kF32 plan, so the
+  // zero-allocation guarantee holds on the mixed path too.
   std::vector<complex_t> send_buf_, recv_buf_;
-  std::vector<complex32_t> send_buf32_, recv_buf32_;
   std::vector<index_t> row_send_counts_, row_recv_counts_;
   std::vector<index_t> col_send_counts_, col_recv_counts_;
   std::vector<index_t> scaled_send_counts_, scaled_recv_counts_;

@@ -13,7 +13,7 @@ GhostExchange::GhostExchange(PencilDecomp& decomp, index_t width,
       width_(width),
       ldims_(decomp.local_real_dims()),
       comm_kind_(comm_kind),
-      wire_(wire),
+      stage_(wire),
       overlap_(overlap) {
   // Single-neighbour halos: every rank's block must be at least as wide as
   // the halo, on every rank (uneven blocks differ by one).
@@ -33,39 +33,7 @@ void GhostExchange::ensure_slab_capacity(int nfields) {
       static_cast<size_t>(std::max(slab1, slab2)) * nfields;
   if (pack_buf_.size() < need) pack_buf_.resize(need);
   if (recv_buf_.size() < need) recv_buf_.resize(need);
-  if (wire_ == WirePrecision::kF32) {
-    if (pack32_.size() < need) pack32_.resize(need);
-    if (recv32_.size() < need) recv32_.resize(need);
-  }
-}
-
-void GhostExchange::slab_sendrecv(std::span<const real_t> buf, int dest,
-                                  std::span<real_t> halo, int src, int tag) {
-  auto& comm = decomp_->comm();
-  if (wire_ == WirePrecision::kF32) {
-    comm.send_narrowed(buf, std::span<real32_t>(pack32_.data(), buf.size()),
-                       dest, tag);
-    comm.recv_widened(halo, std::span<real32_t>(recv32_.data(), halo.size()),
-                      src, tag);
-  } else {
-    comm.send(buf, dest, tag);
-    comm.recv_into(halo, src, tag);
-  }
-}
-
-mpisim::CommRequest GhostExchange::slab_isendrecv(std::span<const real_t> buf,
-                                                  int dest,
-                                                  std::span<real_t> halo,
-                                                  int src, int tag) {
-  auto& comm = decomp_->comm();
-  if (wire_ == WirePrecision::kF32) {
-    comm.isend_narrowed(buf, std::span<real32_t>(pack32_.data(), buf.size()),
-                        dest, tag);
-    return comm.irecv_widened(
-        halo, std::span<real32_t>(recv32_.data(), halo.size()), src, tag);
-  }
-  comm.send(buf, dest, tag);
-  return comm.irecv_into(halo, src, tag);
+  stage_.reserve(need, need);
 }
 
 void GhostExchange::exchange(std::span<const real_t> local,
@@ -103,49 +71,57 @@ void GhostExchange::exchange_many(std::span<const real_t* const> locals,
     }
   }
 
-  exchange_dim1(ghosted, m);
-  exchange_dim2(ghosted, m);
+  // Dimension 1 first, over the interior of dim 2; then dimension 2 over
+  // the FULL ghosted dim 1, so the corners come along (two-phase trick).
+  const int r1 = decomp_->r1(), r2 = decomp_->r2();
+  const int p1 = decomp_->p1(), p2 = decomp_->p2();
+  exchange_dim(1, w, ldims_[1], decomp_->rank_of((r1 - 1 + p1) % p1, r2),
+               decomp_->rank_of((r1 + 1) % p1, r2), ghosted, m);
+  exchange_dim(2, 0, gdims_[0], decomp_->rank_of(r1, (r2 - 1 + p2) % p2),
+               decomp_->rank_of(r1, (r2 + 1) % p2), ghosted, m);
 }
 
-void GhostExchange::exchange_dim1(std::span<real_t> ghosted, int nfields) {
-  // Slabs cover interior dim 2 and the already-wrapped dim 3; all fields of
-  // the batch are packed back to back into the same message.
+void GhostExchange::exchange_dim(int dim, index_t cross_begin,
+                                 index_t cross_extent, int lo_nbr, int hi_nbr,
+                                 std::span<real_t> ghosted, int nfields) {
   const index_t w = width_;
-  const index_t slab = w * ldims_[1] * gdims_[2];
-  const index_t n1l = ldims_[0];
+  const index_t n = ldims_[dim - 1];
   const index_t gsize = ghost_size();
-  auto pack = [&](std::span<real_t> buf, index_t i1_begin) {
-    index_t pos = 0;
-    for (int f = 0; f < nfields; ++f) {
-      const real_t* gblock = ghosted.data() + f * gsize;
-      for (index_t i1 = i1_begin; i1 < i1_begin + w; ++i1)
-        for (index_t i2 = 0; i2 < ldims_[1]; ++i2) {
-          const real_t* src = gblock + linear_index(i1, i2 + w, 0, gdims_);
-          for (index_t i3 = 0; i3 < gdims_[2]; ++i3) buf[pos++] = src[i3];
-        }
-    }
-  };
-  auto unpack = [&](std::span<const real_t> buf, index_t i1_begin) {
-    index_t pos = 0;
+  // Visits the dim-3 rows of the slab whose `dim` index starts at `begin`,
+  // every field of the batch back to back (the message layout).
+  const auto for_rows = [&](index_t begin, auto&& row) {
+    const index_t b1 = dim == 1 ? begin : cross_begin;
+    const index_t e1 = b1 + (dim == 1 ? w : cross_extent);
+    const index_t b2 = dim == 1 ? cross_begin : begin;
+    const index_t e2 = b2 + (dim == 1 ? cross_extent : w);
     for (int f = 0; f < nfields; ++f) {
       real_t* gblock = ghosted.data() + f * gsize;
-      for (index_t i1 = i1_begin; i1 < i1_begin + w; ++i1)
-        for (index_t i2 = 0; i2 < ldims_[1]; ++i2) {
-          real_t* dst = gblock + linear_index(i1, i2 + w, 0, gdims_);
-          for (index_t i3 = 0; i3 < gdims_[2]; ++i3) dst[i3] = buf[pos++];
-        }
+      for (index_t i1 = b1; i1 < e1; ++i1)
+        for (index_t i2 = b2; i2 < e2; ++i2)
+          row(gblock + linear_index(i1, i2, 0, gdims_));
     }
   };
+  const auto pack = [&](std::span<real_t> buf, index_t begin) {
+    index_t pos = 0;
+    for_rows(begin, [&](const real_t* src) {
+      for (index_t i3 = 0; i3 < gdims_[2]; ++i3) buf[pos++] = src[i3];
+    });
+  };
+  const auto unpack = [&](std::span<const real_t> buf, index_t begin) {
+    index_t pos = 0;
+    for_rows(begin, [&](real_t* dst) {
+      for (index_t i3 = 0; i3 < gdims_[2]; ++i3) dst[i3] = buf[pos++];
+    });
+  };
 
-  const index_t msg = slab * nfields;
+  const index_t msg = w * cross_extent * gdims_[2] * nfields;
   const std::span<real_t> send_buf(pack_buf_.data(), msg);
   const std::span<real_t> halo_buf(recv_buf_.data(), msg);
-  const int p1 = decomp_->p1();
-  if (p1 == 1) {
-    pack(send_buf, w + n1l - w);       // low halo <- own high interior
+  if ((dim == 1 ? decomp_->p1() : decomp_->p2()) == 1) {
+    pack(send_buf, n);       // low halo <- own high interior
     unpack(send_buf, 0);
-    pack(send_buf, w);                 // high halo <- own low interior
-    unpack(send_buf, w + n1l);
+    pack(send_buf, w);       // high halo <- own low interior
+    unpack(send_buf, w + n);
     return;
   }
   auto& comm = decomp_->comm();
@@ -155,118 +131,28 @@ void GhostExchange::exchange_dim1(std::span<real_t> ghosted, int nfields) {
   // lockstep — so mark the phase in the schedule hash, labelled by the
   // distributed dimension. A rank skipping a halo pass is then caught at
   // the next checkpoint instead of corrupting an unrelated exchange.
-  comm.verify_mark(/*dimension=*/1);
-  const int lo_nbr = decomp_->rank_of((decomp_->r1() - 1 + p1) % p1,
-                                      decomp_->r2());
-  const int hi_nbr = decomp_->rank_of((decomp_->r1() + 1) % p1,
-                                      decomp_->r2());
+  comm.verify_mark(dim);
   // My high interior goes to hi_nbr's low halo (travels "high", kTagHigh);
   // I receive my low halo from lo_nbr.
-  pack(send_buf, w + n1l - w);
+  pack(send_buf, n);
+  comm.send(send_buf, stage_, hi_nbr, kTagHigh);
   if (overlap_) {
     // Pack + send the low-travelling slab while the first halo is in
     // flight. The buffered send copied pack_buf_ at post, so repacking it
-    // is safe, and plain sends are legal while a receive is pending.
-    auto req = slab_isendrecv(send_buf, hi_nbr, halo_buf, lo_nbr, kTagHigh);
+    // is safe, and sends are legal while a receive is pending.
+    auto req = comm.irecv_into(halo_buf, stage_, lo_nbr, kTagHigh);
     pack(send_buf, w);
-    if (wire_ == WirePrecision::kF32)
-      comm.send_narrowed(std::span<const real_t>(send_buf),
-                         std::span<real32_t>(pack32_.data(), send_buf.size()),
-                         lo_nbr, kTagLow);
-    else
-      comm.send(std::span<const real_t>(send_buf), lo_nbr, kTagLow);
+    comm.send(send_buf, stage_, lo_nbr, kTagLow);
     req.wait();
     unpack(halo_buf, 0);
-    if (wire_ == WirePrecision::kF32)
-      comm.recv_widened(halo_buf,
-                        std::span<real32_t>(recv32_.data(), halo_buf.size()),
-                        hi_nbr, kTagLow);
-    else
-      comm.recv_into(halo_buf, hi_nbr, kTagLow);
-    unpack(halo_buf, w + n1l);
   } else {
-    slab_sendrecv(send_buf, hi_nbr, halo_buf, lo_nbr, kTagHigh);
+    comm.recv_into(halo_buf, stage_, lo_nbr, kTagHigh);
     unpack(halo_buf, 0);
     pack(send_buf, w);
-    slab_sendrecv(send_buf, lo_nbr, halo_buf, hi_nbr, kTagLow);
-    unpack(halo_buf, w + n1l);
+    comm.send(send_buf, stage_, lo_nbr, kTagLow);
   }
-}
-
-void GhostExchange::exchange_dim2(std::span<real_t> ghosted, int nfields) {
-  // Slabs cover the FULL ghosted dim 1 (so corners come along) and dim 3.
-  const index_t w = width_;
-  const index_t slab = gdims_[0] * w * gdims_[2];
-  const index_t n2l = ldims_[1];
-  const index_t gsize = ghost_size();
-  auto pack = [&](std::span<real_t> buf, index_t i2_begin) {
-    index_t pos = 0;
-    for (int f = 0; f < nfields; ++f) {
-      const real_t* gblock = ghosted.data() + f * gsize;
-      for (index_t i1 = 0; i1 < gdims_[0]; ++i1)
-        for (index_t i2 = i2_begin; i2 < i2_begin + w; ++i2) {
-          const real_t* src = gblock + linear_index(i1, i2, 0, gdims_);
-          for (index_t i3 = 0; i3 < gdims_[2]; ++i3) buf[pos++] = src[i3];
-        }
-    }
-  };
-  auto unpack = [&](std::span<const real_t> buf, index_t i2_begin) {
-    index_t pos = 0;
-    for (int f = 0; f < nfields; ++f) {
-      real_t* gblock = ghosted.data() + f * gsize;
-      for (index_t i1 = 0; i1 < gdims_[0]; ++i1)
-        for (index_t i2 = i2_begin; i2 < i2_begin + w; ++i2) {
-          real_t* dst = gblock + linear_index(i1, i2, 0, gdims_);
-          for (index_t i3 = 0; i3 < gdims_[2]; ++i3) dst[i3] = buf[pos++];
-        }
-    }
-  };
-
-  const index_t msg = slab * nfields;
-  const std::span<real_t> send_buf(pack_buf_.data(), msg);
-  const std::span<real_t> halo_buf(recv_buf_.data(), msg);
-  const int p2 = decomp_->p2();
-  if (p2 == 1) {
-    pack(send_buf, w + n2l - w);
-    unpack(send_buf, 0);
-    pack(send_buf, w);
-    unpack(send_buf, w + n2l);
-    return;
-  }
-  auto& comm = decomp_->comm();
-  comm.set_time_kind(comm_kind_);
-  comm.verify_mark(/*dimension=*/2);  // see exchange_dim1
-  const int lo_nbr = decomp_->rank_of(decomp_->r1(),
-                                      (decomp_->r2() - 1 + p2) % p2);
-  const int hi_nbr = decomp_->rank_of(decomp_->r1(),
-                                      (decomp_->r2() + 1) % p2);
-  pack(send_buf, w + n2l - w);
-  if (overlap_) {
-    // Same overlapped schedule as dim 1 (see exchange_dim1).
-    auto req = slab_isendrecv(send_buf, hi_nbr, halo_buf, lo_nbr, kTagHigh);
-    pack(send_buf, w);
-    if (wire_ == WirePrecision::kF32)
-      comm.send_narrowed(std::span<const real_t>(send_buf),
-                         std::span<real32_t>(pack32_.data(), send_buf.size()),
-                         lo_nbr, kTagLow);
-    else
-      comm.send(std::span<const real_t>(send_buf), lo_nbr, kTagLow);
-    req.wait();
-    unpack(halo_buf, 0);
-    if (wire_ == WirePrecision::kF32)
-      comm.recv_widened(halo_buf,
-                        std::span<real32_t>(recv32_.data(), halo_buf.size()),
-                        hi_nbr, kTagLow);
-    else
-      comm.recv_into(halo_buf, hi_nbr, kTagLow);
-    unpack(halo_buf, w + n2l);
-  } else {
-    slab_sendrecv(send_buf, hi_nbr, halo_buf, lo_nbr, kTagHigh);
-    unpack(halo_buf, 0);
-    pack(send_buf, w);
-    slab_sendrecv(send_buf, lo_nbr, halo_buf, hi_nbr, kTagLow);
-    unpack(halo_buf, w + n2l);
-  }
+  comm.recv_into(halo_buf, stage_, hi_nbr, kTagLow);
+  unpack(halo_buf, w + n);
 }
 
 }  // namespace diffreg::grid

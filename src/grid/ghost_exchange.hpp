@@ -49,7 +49,7 @@ class GhostExchange {
                 bool overlap = false);
 
   index_t width() const { return width_; }
-  WirePrecision wire() const { return wire_; }
+  WirePrecision wire() const { return stage_.wire(); }
   /// True when the per-dimension halo receives are posted nonblocking.
   bool overlap() const { return overlap_; }
   /// Dimensions of the ghosted block: (n1l + 2w, n2l + 2w, N3 + 2w).
@@ -67,35 +67,29 @@ class GhostExchange {
                      std::span<real_t> ghosted);
 
  private:
-  void exchange_dim1(std::span<real_t> ghosted, int nfields);
-  void exchange_dim2(std::span<real_t> ghosted, int nfields);
+  /// One distributed dimension's halo pass (dim 1 or 2) over all
+  /// `nfields` ghost blocks: slabs are `width_` deep along `dim` and span
+  /// [cross_begin, cross_begin + cross_extent) of the other in-plane axis
+  /// and the whole ghosted dim 3; they travel to/from the `lo_nbr` /
+  /// `hi_nbr` ranks, and the phase is marked `dim` in the schedule hash.
+  void exchange_dim(int dim, index_t cross_begin, index_t cross_extent,
+                    int lo_nbr, int hi_nbr, std::span<real_t> ghosted,
+                    int nfields);
   /// Grows the two slab buffers to fit `nfields` packed slabs.
   void ensure_slab_capacity(int nfields);
-
-  /// Sends `buf` to `dest` and receives the opposite slab from `src` into
-  /// `halo`, narrowing to fp32 on the wire when the exchanger is kF32.
-  void slab_sendrecv(std::span<const real_t> buf, int dest,
-                     std::span<real_t> halo, int src, int tag);
-
-  /// Nonblocking twin: sends `buf` (complete at post — buffered) and posts
-  /// the receive of `halo`, returning its completion handle. `halo` (and
-  /// the fp32 recv staging) must stay untouched until wait().
-  mpisim::CommRequest slab_isendrecv(std::span<const real_t> buf, int dest,
-                                     std::span<real_t> halo, int src, int tag);
 
   PencilDecomp* decomp_;
   index_t width_;
   Int3 ldims_;   // local owned block
   Int3 gdims_;   // ghosted block
   TimeKind comm_kind_;
-  WirePrecision wire_;
+  mpisim::WireStage<real_t> stage_;  // wire format of every halo slab
   bool overlap_ = false;
 
   // Persistent slab buffers (grow-only): sized for the larger of the dim-1
-  // and dim-2 slabs times the widest batch seen so far. The fp32 pair is
-  // the wire staging of the kF32 format (same element capacity).
+  // and dim-2 slabs times the widest batch seen so far; the stage's fp32
+  // staging grows alongside on a kF32 exchanger.
   std::vector<real_t> pack_buf_, recv_buf_;
-  std::vector<real32_t> pack32_, recv32_;
 
   static constexpr int kTagLow = 201;   // data travelling toward lower index
   static constexpr int kTagHigh = 202;  // data travelling toward higher index

@@ -8,7 +8,7 @@ using grid::GhostExchange;
 
 FusedInterp::FusedInterp(grid::PencilDecomp& decomp, WirePrecision wire,
                          bool overlap)
-    : decomp_(&decomp), wire_(wire), overlap_(overlap) {
+    : decomp_(&decomp), stage_(wire), overlap_(overlap) {
   const int p = decomp.comm().size();
   send_counts_.assign(p, 0);
   recv_counts_.assign(p, 0);
@@ -42,7 +42,7 @@ void FusedInterp::interpolate_many(GhostExchange& gx,
   for (int i = 0; i < nj; ++i) {
     const InterpPlan& plan = *plans[i];
     assert(plan.built());
-    assert(plan.decomp_ == decomp_ && plan.wire_ == wire_ &&
+    assert(plan.decomp_ == decomp_ && plan.wire() == stage_.wire() &&
            plan.overlap_ == overlap_);
     index_t rcum = 0, scum = 0;
     for (int r = 0; r < p; ++r) {
@@ -79,12 +79,7 @@ void FusedInterp::interpolate_many(GhostExchange& gx,
     send_vals_.resize(send_total);
   if (recv_vals_.size() < static_cast<size_t>(recv_total))
     recv_vals_.resize(recv_total);
-  if (wire_ == WirePrecision::kF32) {
-    if (send_vals32_.size() < send_vals_.size())
-      send_vals32_.resize(send_vals_.size());
-    if (recv_vals32_.size() < recv_vals_.size())
-      recv_vals32_.resize(recv_vals_.size());
-  }
+  stage_.reserve(send_vals_.size(), recv_vals_.size());
 
   // One halo exchange for ALL jobs: each job's field gets its own ghosted
   // block, but they share the four neighbour messages.
@@ -132,17 +127,9 @@ void FusedInterp::interpolate_many(GhostExchange& gx,
         for (int r = 0; r < p; ++r)
           if (r != rank) eval_chunk(i, r);
     }
-    mpisim::CommRequest req =
-        wire_ == WirePrecision::kF32
-            ? comm.ialltoallv_converted(
-                  val_send, std::span<const index_t>(send_counts_), val_recv,
-                  std::span<const index_t>(recv_counts_),
-                  std::span<real32_t>(send_vals32_.data(), send_total),
-                  std::span<real32_t>(recv_vals32_.data(), recv_total),
-                  kTagFusedValues)
-            : comm.ialltoallv(val_send, std::span<const index_t>(send_counts_),
-                              val_recv, std::span<const index_t>(recv_counts_),
-                              kTagFusedValues);
+    mpisim::CommRequest req = comm.ialltoallv(
+        val_send, std::span<const index_t>(send_counts_), val_recv,
+        std::span<const index_t>(recv_counts_), stage_, kTagFusedValues);
     {
       ScopedTimer t(timings, TimeKind::kInterpExec);
       for (int i = 0; i < nj; ++i) eval_chunk(i, rank);
@@ -154,18 +141,9 @@ void FusedInterp::interpolate_many(GhostExchange& gx,
       for (int i = 0; i < nj; ++i)
         for (int r = 0; r < p; ++r) eval_chunk(i, r);
     }
-    if (wire_ == WirePrecision::kF32) {
-      comm.alltoallv_converted(
-          val_send, std::span<const index_t>(send_counts_), val_recv,
-          std::span<const index_t>(recv_counts_),
-          std::span<real32_t>(send_vals32_.data(), send_total),
-          std::span<real32_t>(recv_vals32_.data(), recv_total),
-          kTagFusedValues);
-    } else {
-      comm.alltoallv(val_send, std::span<const index_t>(send_counts_),
-                     val_recv, std::span<const index_t>(recv_counts_),
-                     kTagFusedValues);
-    }
+    comm.alltoallv(val_send, std::span<const index_t>(send_counts_),
+                   val_recv, std::span<const index_t>(recv_counts_), stage_,
+                   kTagFusedValues);
   }
 
   {  // Scatter every job's returned cross-rank values into its own point

@@ -58,7 +58,7 @@ class FusedInterp {
 
  private:
   grid::PencilDecomp* decomp_;
-  WirePrecision wire_;
+  mpisim::WireStage<real_t> stage_;  // wire format of the fused scatter
   bool overlap_;
   int fused_calls_ = 0;
 
@@ -66,7 +66,6 @@ class FusedInterp {
   // value buffers; grow-only, reused across rounds.
   std::vector<index_t> send_counts_, recv_counts_;
   std::vector<real_t> send_vals_, recv_vals_;
-  std::vector<real32_t> send_vals32_, recv_vals32_;  // kF32 staging
   std::vector<real_t> ghosted_;  // J ghost blocks back to back
 
   // Per-(plan, rank) offsets into the plans' rank-major point tables and

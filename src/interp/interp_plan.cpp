@@ -10,7 +10,7 @@ using grid::GhostExchange;
 using grid::PencilDecomp;
 
 InterpPlan::InterpPlan(PencilDecomp& decomp, WirePrecision wire, bool overlap)
-    : decomp_(&decomp), wire_(wire), overlap_(overlap) {
+    : decomp_(&decomp), stage_(wire), overlap_(overlap) {
   const int p = decomp.comm().size();
   send_counts_.assign(p, 0);
   recv_counts_.assign(p, 0);
@@ -144,12 +144,7 @@ void InterpPlan::build(std::span<const Vec3> points) {
     eval_vals_.resize(kPresizeBatch * recv_total_);
   if (ret_vals_.size() < static_cast<size_t>(kPresizeBatch * num_points_))
     ret_vals_.resize(kPresizeBatch * num_points_);
-  if (wire_ == WirePrecision::kF32) {
-    if (eval_vals32_.size() < eval_vals_.size())
-      eval_vals32_.resize(eval_vals_.size());
-    if (ret_vals32_.size() < ret_vals_.size())
-      ret_vals32_.resize(ret_vals_.size());
-  }
+  stage_.reserve(eval_vals_.size(), ret_vals_.size());
 
   built_ = true;
   ++builds_;
@@ -186,12 +181,7 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
     eval_vals_.resize(static_cast<size_t>(m) * recv_total_);
   if (ret_vals_.size() < static_cast<size_t>(m) * num_points_)
     ret_vals_.resize(static_cast<size_t>(m) * num_points_);
-  if (wire_ == WirePrecision::kF32) {
-    if (eval_vals32_.size() < eval_vals_.size())
-      eval_vals32_.resize(eval_vals_.size());
-    if (ret_vals32_.size() < ret_vals_.size())
-      ret_vals32_.resize(ret_vals_.size());
-  }
+  stage_.reserve(eval_vals_.size(), ret_vals_.size());
 
   // One halo exchange for the whole batch.
   gx.exchange_many(fields,
@@ -251,8 +241,8 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
 
   // One value alltoallv for the whole batch: the counts are the plan's
   // per-peer point counts scaled by the batch size, with the self chunk
-  // delivered locally by the eval sweep (count 0). kF32 plans ship the
-  // values at fp32 through the persistent staging pair.
+  // delivered locally by the eval sweep (count 0), at the plan's wire
+  // precision.
   for (int r = 0; r < p; ++r) {
     val_send_counts_[r] = r == rank ? 0 : recv_counts_[r] * m;
     val_recv_counts_[r] = r == rank ? 0 : send_counts_[r] * m;
@@ -273,19 +263,9 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
     // Post the value exchange, then evaluate the SELF-owned majority while
     // it is in flight. Same tags, payloads, and counters as the blocking
     // call — only the wait moves past the self sweep.
-    mpisim::CommRequest req =
-        wire_ == WirePrecision::kF32
-            ? comm.ialltoallv_converted(
-                  val_send, std::span<const index_t>(val_send_counts_),
-                  val_recv, std::span<const index_t>(val_recv_counts_),
-                  std::span<real32_t>(eval_vals32_.data(), val_send.size()),
-                  std::span<real32_t>(ret_vals32_.data(), val_recv.size()),
-                  kTagValues)
-            : comm.ialltoallv(val_send,
-                              std::span<const index_t>(val_send_counts_),
-                              val_recv,
-                              std::span<const index_t>(val_recv_counts_),
-                              kTagValues);
+    mpisim::CommRequest req = comm.ialltoallv(
+        val_send, std::span<const index_t>(val_send_counts_), val_recv,
+        std::span<const index_t>(val_recv_counts_), stage_, kTagValues);
     {
       ScopedTimer t(timings, TimeKind::kInterpExec);
       for (index_t j = self_recv_off; j < self_recv_off + self_cnt; ++j)
@@ -299,18 +279,9 @@ void InterpPlan::interpolate_many(GhostExchange& gx,
       for (index_t j = 0; j < recv_total_; ++j)
         eval_point(j, j >= self_recv_off && j < self_recv_off + self_cnt);
     }
-    if (wire_ == WirePrecision::kF32) {
-      comm.alltoallv_converted(
-          val_send, std::span<const index_t>(val_send_counts_), val_recv,
-          std::span<const index_t>(val_recv_counts_),
-          std::span<real32_t>(eval_vals32_.data(), val_send.size()),
-          std::span<real32_t>(ret_vals32_.data(), val_recv.size()),
-          kTagValues);
-    } else {
-      comm.alltoallv(val_send, std::span<const index_t>(val_send_counts_),
-                     val_recv, std::span<const index_t>(val_recv_counts_),
-                     kTagValues);
-    }
+    comm.alltoallv(val_send, std::span<const index_t>(val_send_counts_),
+                   val_recv, std::span<const index_t>(val_recv_counts_),
+                   stage_, kTagValues);
   }
 
   {  // Scatter the returned cross-rank values into the caller's point

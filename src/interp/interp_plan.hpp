@@ -71,7 +71,7 @@ class InterpPlan {
   InterpPlan(grid::PencilDecomp& decomp, std::span<const Vec3> points,
              WirePrecision wire = WirePrecision::kF64, bool overlap = false);
 
-  WirePrecision wire() const { return wire_; }
+  WirePrecision wire() const { return stage_.wire(); }
   /// True when the value exchange is posted nonblocking and SELF points are
   /// evaluated under its flight.
   bool overlap() const { return overlap_; }
@@ -117,7 +117,7 @@ class InterpPlan {
   friend class FusedInterp;
 
   grid::PencilDecomp* decomp_;
-  WirePrecision wire_ = WirePrecision::kF64;
+  mpisim::WireStage<real_t> stage_;  // wire format of the value scatter
   bool overlap_ = false;
   index_t num_points_ = 0;
   index_t recv_total_ = 0;
@@ -146,9 +146,6 @@ class InterpPlan {
   std::vector<index_t> val_send_counts_, val_recv_counts_;  // [p]
   std::vector<real_t> eval_vals_;      // recv_total_ * batch
   std::vector<real_t> ret_vals_;       // num_points_ * batch
-  // fp32 wire staging of the value exchange (kF32 plans only; presized
-  // alongside eval_vals_/ret_vals_ so the mixed path never allocates warm).
-  std::vector<real32_t> eval_vals32_, ret_vals32_;
   std::vector<real_t> ghosted_;        // batch ghost blocks back to back
   std::vector<real_t> comp_out_;       // interpolate_vec staging (3 comps)
 

@@ -401,7 +401,7 @@ CommRequest::~CommRequest() {
   }
 }
 
-void CommRequest::wait() {
+void CommRequest::complete(const char* operation, bool credit_hidden) {
   if (!comm_) return;
   Communicator* comm = std::exchange(comm_, nullptr);
   Timings& timings = *comm->timings_;
@@ -428,7 +428,7 @@ void CommRequest::wait() {
             if (!backend.probe(other.src, other.tag))
               missing.emplace_back(other.src, other.tag);
           throw CommTimeoutError(comm->make_diagnosis(
-              "nonblocking wait", pr.src, pr.tag, waited.seconds() * 1e3,
+              operation, pr.src, pr.tag, waited.seconds() * 1e3,
               std::move(missing)));
         }
         in = std::move(*got);
@@ -460,9 +460,10 @@ void CommRequest::wait() {
   // Hidden comm time: the wire was busy from the post until the last
   // message landed; whatever portion of that elapsed before the caller
   // blocked here was overlapped with compute.
-  timings.add_hidden(kind_,
-                     std::max(0.0, std::min(last_arrival, wait_entry) -
-                                       post_time_));
+  if (credit_hidden)
+    timings.add_hidden(kind_,
+                       std::max(0.0, std::min(last_arrival, wait_entry) -
+                                         post_time_));
 }
 
 bool CommRequest::test() {

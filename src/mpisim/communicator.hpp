@@ -30,32 +30,34 @@
 ///   allreduce vector  binomial-tree reduce to rank 0 + binomial broadcast
 ///                     (reduce-then-broadcast, for batched field norms)
 ///   alltoallv         pairwise exchange (p-1 rounds, bandwidth-bound by
-///                     design) with a collective-consistency self-check; a
-///                     span-based overload works over caller-owned flat
-///                     buffers so hot paths (the FFT transposes) allocate
-///                     nothing per call, and a converting overload
-///                     (alltoallv_converted) down-converts the payload into
-///                     caller-owned fp32 staging buffers before it hits the
-///                     wire and up-converts on receive — half the bytes for
-///                     ~1e-7 relative rounding (WirePrecision::kF32)
+///                     design) with a collective-consistency self-check,
+///                     over caller-owned flat buffers so hot paths (the FFT
+///                     transposes) allocate nothing per call
 /// Scalar allreduce combines operands in subgroup order, so every rank
 /// computes bitwise-identical results; the vector form broadcasts rank 0's
 /// combination, which is likewise identical everywhere.
 ///
-/// Nonblocking exchanges (`ialltoallv`, `ialltoallv_converted`,
-/// `isend_narrowed`/`irecv_widened`/`irecv_into`) post the SAME message
-/// schedule as their blocking twins — identical tags, payload order, byte /
-/// message / exchange counters — and defer only the receives behind a
-/// `CommRequest`. Between post and `wait()` the caller computes; the span of
-/// wire time that elapsed under that compute is accounted to the Timings
-/// hidden-comm counter, which is how the overlap efficiency of Tables I-IV's
-/// comm legs is measured. At most ONE request may be outstanding per
-/// Communicator: any receive, barrier, or collective while one is pending
-/// throws (wait-before-read enforcement), which turns forgotten waits into
-/// loud errors instead of stolen messages. Plain sends stay legal while a
-/// request is in flight — they are buffered and cannot race the pending
-/// receives — which is what lets GhostExchange push the second halo slab
-/// under the first one's flight.
+/// Wire precision lives HERE, not in the plans: a plan hands every exchange
+/// its `WireStage` (its WirePrecision plus the fp32 staging it owns), and
+/// the exchange narrows the peer payloads to fp32 on a kF32 stage — half
+/// the bytes for ~1e-7 relative rounding — or ships them bit-exact on a
+/// kF64 one. One post body serves every plan exchange (`alltoallv`,
+/// `ialltoallv`, `send`, `recv_into`, `irecv_into` with a stage).
+///
+/// Nonblocking exchanges (`ialltoallv`, `irecv_into`) post the SAME message
+/// schedule as their blocking forms — identical tags, payload order, byte /
+/// message / exchange counters; a blocking call IS the post followed by a
+/// completion that credits no hidden time — and defer only the receives
+/// behind a `CommRequest`. Between post and `wait()` the caller computes;
+/// the span of wire time that elapsed under that compute is accounted to
+/// the Timings hidden-comm counter, which is how the overlap efficiency of
+/// Tables I-IV's comm legs is measured. At most ONE request may be
+/// outstanding per Communicator: any receive, barrier, or collective while
+/// one is pending throws (wait-before-read enforcement), which turns
+/// forgotten waits into loud errors instead of stolen messages. Sends stay
+/// legal while a request is in flight — they are buffered and cannot race
+/// the pending receives — which is what lets GhostExchange push the second
+/// halo slab under the first one's flight.
 ///
 /// Every send is also accounted to the rank's Timings as (bytes, messages)
 /// under the communicator's current TimeKind, and each alltoallv entered
@@ -113,7 +115,50 @@ void widen_payload(const std::byte* payload, std::byte* dst, size_t elems) {
       std::span<Wide>(reinterpret_cast<Wide*>(dst), elems));
 }
 
+/// fp32 wire element of a solver payload element.
+template <typename Wide>
+struct WireNarrow;
+template <>
+struct WireNarrow<real_t> {
+  using type = real32_t;
+};
+template <>
+struct WireNarrow<complex_t> {
+  using type = complex32_t;
+};
+
 }  // namespace detail
+
+/// A plan's wire format for one payload type: its WirePrecision plus the
+/// two fp32 staging buffers a kF32 exchange narrows into (send) and a
+/// real-MPI transport would land narrow payloads in (recv). Plans own one
+/// per exchange path and hand it to every Communicator call; the staging
+/// grows only under kF32 and only through reserve(), which plans call from
+/// their sizing points, so warm exchanges allocate nothing.
+template <typename Wide>
+class WireStage {
+ public:
+  using Narrow = typename detail::WireNarrow<Wide>::type;
+
+  explicit WireStage(WirePrecision wire = WirePrecision::kF64)
+      : wire_(wire) {}
+
+  WirePrecision wire() const { return wire_; }
+  bool narrow() const { return wire_ == WirePrecision::kF32; }
+
+  /// Grows the staging to hold `send` outgoing and `recv` incoming
+  /// elements (grow-only; no-op on a kF64 stage).
+  void reserve(size_t send, size_t recv) {
+    if (!narrow()) return;
+    if (send_.size() < send) send_.resize(send);
+    if (recv_.size() < recv) recv_.resize(recv);
+  }
+
+ private:
+  friend class Communicator;
+  WirePrecision wire_;
+  std::vector<Narrow> send_, recv_;
+};
 
 /// Collective-op classes recorded by the schedule verifier
 /// (Communicator::set_verify_schedule). The numeric values are folded into
@@ -185,7 +230,7 @@ class CommRequest {
   /// payloads. Time spent blocked is charged to the exchange's TimeKind as
   /// usual; the post-to-last-arrival span that elapsed BEFORE entering
   /// wait() is credited as hidden comm time.
-  void wait();
+  void wait() { complete("nonblocking wait", /*credit_hidden=*/true); }
 
   /// Nonblocking completion probe: returns false while any message is still
   /// in flight; otherwise completes the request (equivalent to wait()) and
@@ -196,6 +241,11 @@ class CommRequest {
   friend class Communicator;
   CommRequest(Communicator* comm, double post_time, TimeKind kind)
       : comm_(comm), post_time_(post_time), kind_(kind) {}
+
+  /// Delivers every deferred receive. Blocking calls complete their own
+  /// post right away with `credit_hidden` false, so they hide nothing;
+  /// `operation` names the call in a watchdog diagnosis.
+  void complete(const char* operation, bool credit_hidden);
 
   Communicator* comm_ = nullptr;  ///< Owning communicator; null once done.
   double post_time_ = 0.0;        ///< Backend-clock stamp of the post.
@@ -341,101 +391,84 @@ class Communicator {
   template <typename T>
   std::vector<T> allgather(T value);
 
-  /// Personalized all-to-all: send_bufs[r] goes to rank r; returns one buffer
-  /// per source rank. Self-exchange is a local move.
-  template <typename T>
-  std::vector<std::vector<T>> alltoallv(std::vector<std::vector<T>> send_bufs,
-                                        int tag);
-
   /// Zero-allocation personalized all-to-all over caller-provided flat
   /// buffers: rank r's chunk occupies send[sum(send_counts[0..r-1]) ..) and
   /// lands in recv at the offset implied by recv_counts. Both count arrays
   /// must have one entry per rank and sum to the corresponding span size;
   /// the caller owns (and can reuse) all four buffers across calls.
-  /// Self-exchange is a local copy.
+  /// Self-exchange is a local copy. The payload ships at the stage's wire
+  /// precision: on a kF32 stage every PEER chunk is narrowed into the
+  /// stage's send staging, shipped at fp32 and widened on receive; the SELF
+  /// chunk is always a direct full-width copy (it never crosses the wire,
+  /// so narrowing it would cost two sweeps and fp32 rounding for nothing).
+  /// Counts are in ELEMENTS for either wire, so the exchange schedule is
+  /// the same; Timings record the bytes that actually crossed the wire plus
+  /// the volume the narrowing saved (bytes_saved).
+  template <typename T>
+  void alltoallv(std::span<const std::type_identity_t<T>> send,
+                 std::span<const index_t> send_counts,
+                 std::span<std::type_identity_t<T>> recv,
+                 std::span<const index_t> recv_counts, WireStage<T>& stage,
+                 int tag);
+
+  /// Nonblocking form of the staged alltoallv: the identical checks,
+  /// exchange accounting, self copy and sends — the message schedule is the
+  /// same as the blocking call — with the p-1 receives deferred behind the
+  /// returned CommRequest. `recv` (and, under a real-MPI backend, the
+  /// stage's recv staging) must stay untouched until wait()/test()
+  /// succeeds; the SELF chunk of `recv` is already valid at return. At most
+  /// one request may be outstanding per communicator.
+  template <typename T>
+  [[nodiscard]] CommRequest ialltoallv(
+      std::span<const std::type_identity_t<T>> send,
+      std::span<const index_t> send_counts,
+      std::span<std::type_identity_t<T>> recv,
+      std::span<const index_t> recv_counts, WireStage<T>& stage, int tag);
+
+  /// Full-width alltoallv of any trivially copyable payload (no stage).
   template <typename T>
   void alltoallv(std::span<const T> send, std::span<const index_t> send_counts,
                  std::span<T> recv, std::span<const index_t> recv_counts,
-                 int tag);
+                 int tag) {
+    post_alltoallv<T, T>(send, send_counts, recv, recv_counts, {}, {}, false,
+                         tag)
+        .complete("alltoallv", false);
+  }
 
-  /// Nonblocking twin of the span alltoallv. Performs the identical checks,
-  /// exchange accounting, self copy, and sends — the message schedule is
-  /// bitwise the same as the blocking call — but defers the p-1 receives
-  /// behind the returned CommRequest. `recv` must stay untouched until
-  /// wait()/test() succeeds; the SELF chunk of `recv` is already valid at
-  /// return (it never crosses the wire). At most one request may be
-  /// outstanding per communicator.
-  template <typename T>
-  [[nodiscard]] CommRequest ialltoallv(std::span<const T> send,
-                                       std::span<const index_t> send_counts,
-                                       std::span<T> recv,
-                                       std::span<const index_t> recv_counts,
-                                       int tag);
-
-  /// Mixed-precision variant of the span alltoallv: every PEER chunk is
-  /// down-converted into `send_stage`, shipped at Narrow width, received
-  /// into `recv_stage`, and up-converted into `recv`; the SELF chunk is a
-  /// direct Wide copy (it never crosses the wire, so narrowing it would
-  /// cost two conversion sweeps and fp32 rounding for nothing). Counts are
-  /// in ELEMENTS and identical to the fp64 call — only the per-element
-  /// wire width changes, so the exchange schedule is bitwise the same.
-  /// Timings record the narrow bytes that actually crossed the wire plus
-  /// the volume the narrowing saved (bytes_saved). Staging buffers are
-  /// caller-owned so warm plans allocate nothing; they must be at least as
-  /// large as the corresponding payload span.
+  /// fp32-wire alltoallv over caller-owned staging spans, which must be at
+  /// least as large as the corresponding payload spans.
   template <typename Wide, typename Narrow>
   void alltoallv_converted(std::span<const Wide> send,
                            std::span<const index_t> send_counts,
                            std::span<Wide> recv,
                            std::span<const index_t> recv_counts,
                            std::span<Narrow> send_stage,
-                           std::span<Narrow> recv_stage, int tag);
+                           std::span<Narrow> recv_stage, int tag) {
+    post_alltoallv(send, send_counts, recv, recv_counts, send_stage,
+                   recv_stage, true, tag)
+        .complete("alltoallv", false);
+  }
 
-  /// Nonblocking twin of alltoallv_converted: narrows and ships every peer
-  /// chunk at post (same counters, same saved-bytes accounting), defers the
-  /// widening receives. The thread-backed transport widens straight from
-  /// the wire payload, so `recv_stage` is only size-validated here — but a
-  /// real-MPI backend lands narrow payloads in it, so callers must keep it
-  /// alive and untouched until completion, exactly like the blocking call.
-  template <typename Wide, typename Narrow>
-  [[nodiscard]] CommRequest ialltoallv_converted(
-      std::span<const Wide> send, std::span<const index_t> send_counts,
-      std::span<Wide> recv, std::span<const index_t> recv_counts,
-      std::span<Narrow> send_stage, std::span<Narrow> recv_stage, int tag);
-
-  /// Narrowing point-to-point send: down-converts `data` into the
-  /// caller-owned `stage` and ships the narrow payload (ghost-slab halos).
-  template <typename Wide, typename Narrow>
-  void send_narrowed(std::span<const Wide> data, std::span<Narrow> stage,
-                     int dest, int tag);
-
-  /// Widening receive, the mirror of send_narrowed: receives a narrow
-  /// payload into `stage` and up-converts into `out`.
-  template <typename Wide, typename Narrow>
-  void recv_widened(std::span<Wide> out, std::span<Narrow> stage, int src,
-                    int tag);
-
-  /// Nonblocking narrowing send. The payload is narrowed and on the wire
-  /// when this returns (buffered-send contract), so the returned request is
-  /// already complete — it exists for schedule symmetry with irecv_widened.
-  template <typename Wide, typename Narrow>
-  CommRequest isend_narrowed(std::span<const Wide> data,
-                             std::span<Narrow> stage, int dest, int tag);
-
-  /// Nonblocking widening receive: registers the (src, tag) match and
-  /// returns; wait() pops the narrow payload and up-converts into `out`.
-  /// `out` (and, under a real-MPI backend, `stage`) must stay untouched
-  /// until completion.
-  template <typename Wide, typename Narrow>
-  [[nodiscard]] CommRequest irecv_widened(std::span<Wide> out,
-                                          std::span<Narrow> stage, int src,
-                                          int tag);
-
-  /// Nonblocking receive into a caller-owned buffer, the fp64 twin of
-  /// irecv_widened: wait() pops the (src, tag) payload and memcpys it into
-  /// `out` (exact size match enforced).
+  /// Staged send: ships `data` at the stage's wire precision, narrowed into
+  /// the stage's send staging on kF32. Buffered like send().
   template <typename T>
-  [[nodiscard]] CommRequest irecv_into(std::span<T> out, int src, int tag);
+  void send(std::span<const std::type_identity_t<T>> data,
+            WireStage<T>& stage, int dest, int tag);
+
+  /// Staged blocking receive of exactly `out.size()` elements at the
+  /// stage's wire precision (widened into `out` on kF32).
+  template <typename T>
+  void recv_into(std::span<std::type_identity_t<T>> out, WireStage<T>& stage,
+                 int src, int tag) {
+    irecv_into(out, stage, src, tag).complete("recv_into", false);
+  }
+
+  /// Nonblocking staged receive: registers the (src, tag) match and
+  /// returns; wait() pops the payload and delivers it into `out` (exact
+  /// size match enforced). `out` must stay untouched until completion.
+  template <typename T>
+  [[nodiscard]] CommRequest irecv_into(std::span<std::type_identity_t<T>> out,
+                                       WireStage<T>& stage, int src, int tag);
 
   /// Fixed-count all-to-all: exactly one element to and from every rank,
   /// over caller-owned buffers of p elements each (zero allocation). This is
@@ -454,11 +487,9 @@ class Communicator {
   template <typename T>
   static std::vector<T> deserialize(std::vector<std::byte> bytes);
 
-  /// Shared schedule validation of the span alltoallv variants: checks the
-  /// per-rank count tables against the payload element totals (and the
-  /// self-chunk symmetry), returning the self chunk's (send offset, recv
-  /// offset). Keeping this in one place guarantees the fp64 and converted
-  /// exchanges enforce identical invariants.
+  /// Schedule validation of post_alltoallv: checks the per-rank count
+  /// tables against the payload element totals (and the self-chunk
+  /// symmetry), returning the self chunk's (send offset, recv offset).
   std::pair<index_t, index_t> check_alltoallv_counts(
       std::span<const index_t> send_counts,
       std::span<const index_t> recv_counts, size_t send_size,
@@ -477,6 +508,30 @@ class Communicator {
   /// Registers the deferred receives staged in pending_recvs_ and hands out
   /// the completion handle (or a done request when nothing was deferred).
   CommRequest finish_post(double post_time);
+
+  /// The one alltoallv post body behind every alltoallv form: validates,
+  /// records and accounts the exchange, copies the self chunk at full
+  /// width, ships every peer chunk (narrowed into `send_stage` when
+  /// `narrow`), and registers the peer receives.
+  template <typename Wide, typename Narrow>
+  CommRequest post_alltoallv(std::span<const Wide> send,
+                             std::span<const index_t> send_counts,
+                             std::span<Wide> recv,
+                             std::span<const index_t> recv_counts,
+                             std::span<Narrow> send_stage,
+                             std::span<Narrow> recv_stage, bool narrow,
+                             int tag);
+
+  /// Ships one chunk, narrowed through `stage` (>= chunk.size() elements)
+  /// when `narrow`, accounting the bytes the narrowing kept off the wire.
+  template <typename Wide, typename Narrow>
+  void send_wire(std::span<const Wide> chunk, Narrow* stage, bool narrow,
+                 int dest, int tag);
+
+  /// Appends one deferred receive of `out.size()` elements, widened from
+  /// an fp32 payload when `narrow`.
+  template <typename Wide, typename Narrow>
+  void pend_recv(std::span<Wide> out, bool narrow, int src, int tag);
 
   /// The single blocking-receive funnel: applies the watchdog deadline
   /// (throwing CommTimeoutError with a diagnosis when it expires) and the
@@ -883,38 +938,6 @@ void Communicator::allreduce_min(std::vector<T>& data) {
                 kCollectiveTag + 4);
 }
 
-template <typename T>
-std::vector<std::vector<T>> Communicator::alltoallv(
-    std::vector<std::vector<T>> send_bufs, int tag) {
-  if (static_cast<int>(send_bufs.size()) != size())
-    throw CommContractError("mpisim: alltoallv needs one buffer per rank");
-  check_idle();
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(T) * 8, 0);
-  verify_checkpoint("alltoallv");
-  // Every rank must have entered the same alltoallv (same tag) — a
-  // mismatched schedule would otherwise deliver buffers to the wrong
-  // exchange and corrupt data silently. O(log p) cost, negligible against
-  // the pairwise payload exchange.
-  check_collective_consistent(tag, "alltoallv tag");
-  timings_->add_exchange(time_kind_);
-  std::vector<std::vector<T>> recv_bufs(size());
-  recv_bufs[rank_] = std::move(send_bufs[rank_]);
-  for (int offset = 1; offset < size(); ++offset) {
-    const int dest = (rank_ + offset) % size();
-    // This overload learns its recv sizes from the arriving messages, so
-    // the receiver folds what actually landed (below) instead of an
-    // expectation — order divergence is still caught by the hash.
-    verify_fold_send(dest, send_bufs[dest].size() * sizeof(T));
-    send(std::span<const T>(send_bufs[dest]), dest, tag);
-  }
-  for (int offset = 1; offset < size(); ++offset) {
-    const int src = (rank_ - offset + size()) % size();
-    recv_bufs[src] = recv<T>(src, tag);
-    verify_fold_recv(src, recv_bufs[src].size() * sizeof(T));
-  }
-  return recv_bufs;
-}
-
 inline std::pair<index_t, index_t> Communicator::check_alltoallv_counts(
     std::span<const index_t> send_counts,
     std::span<const index_t> recv_counts, size_t send_size,
@@ -943,173 +966,36 @@ inline std::pair<index_t, index_t> Communicator::check_alltoallv_counts(
   return {self_send_off, self_recv_off};
 }
 
-template <typename T>
-void Communicator::alltoallv(std::span<const T> send,
-                             std::span<const index_t> send_counts,
-                             std::span<T> recv,
-                             std::span<const index_t> recv_counts, int tag) {
-  const int p = size();
-  const auto [self_send_off, self_recv_off] = check_alltoallv_counts(
-      send_counts, recv_counts, send.size(), recv.size());
-  check_idle();
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(T) * 8, 0);
-  verify_checkpoint("alltoallv");
-  check_collective_consistent(tag, "alltoallv tag");
-  timings_->add_exchange(time_kind_);
-  verify_fold_counts(send_counts, recv_counts, sizeof(T));
-
-  if (send_counts[rank_] > 0)
-    std::memcpy(recv.data() + self_recv_off, send.data() + self_send_off,
-                static_cast<size_t>(send_counts[rank_]) * sizeof(T));
-
-  for (int offset = 1; offset < p; ++offset) {
-    const int dest = (rank_ + offset) % p;
-    index_t off = 0;
-    for (int r = 0; r < dest; ++r) off += send_counts[r];
-    this->send(send.subspan(static_cast<size_t>(off),
-                            static_cast<size_t>(send_counts[dest])),
-               dest, tag);
-  }
-  for (int offset = 1; offset < p; ++offset) {
-    const int src = (rank_ - offset + p) % p;
-    index_t off = 0;
-    for (int r = 0; r < src; ++r) off += recv_counts[r];
-    recv_into(recv.subspan(static_cast<size_t>(off),
-                           static_cast<size_t>(recv_counts[src])),
-              src, tag);
-  }
-}
-
-template <typename T>
-CommRequest Communicator::ialltoallv(std::span<const T> send,
-                                     std::span<const index_t> send_counts,
-                                     std::span<T> recv,
-                                     std::span<const index_t> recv_counts,
-                                     int tag) {
-  const int p = size();
-  const auto [self_send_off, self_recv_off] = check_alltoallv_counts(
-      send_counts, recv_counts, send.size(), recv.size());
-  check_idle();
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(T) * 8, 0);
-  verify_checkpoint("alltoallv");
-  check_collective_consistent(tag, "alltoallv tag");
-  timings_->add_exchange(time_kind_);
-  verify_fold_counts(send_counts, recv_counts, sizeof(T));
-
-  if (send_counts[rank_] > 0)
-    std::memcpy(recv.data() + self_recv_off, send.data() + self_send_off,
-                static_cast<size_t>(send_counts[rank_]) * sizeof(T));
-
-  const double post_time = backend_ ? backend_->now() : 0.0;
-  for (int offset = 1; offset < p; ++offset) {
-    const int dest = (rank_ + offset) % p;
-    index_t off = 0;
-    for (int r = 0; r < dest; ++r) off += send_counts[r];
-    this->send(send.subspan(static_cast<size_t>(off),
-                            static_cast<size_t>(send_counts[dest])),
-               dest, tag);
-  }
-  pending_recvs_.clear();
-  for (int offset = 1; offset < p; ++offset) {
-    const int src = (rank_ - offset + p) % p;
-    index_t off = 0;
-    for (int r = 0; r < src; ++r) off += recv_counts[r];
-    pending_recvs_.push_back(
-        {src, tag, reinterpret_cast<std::byte*>(recv.data() + off),
-         static_cast<size_t>(recv_counts[src]) * sizeof(T), 0, nullptr});
-  }
-  return finish_post(post_time);
-}
-
 template <typename Wide, typename Narrow>
-void Communicator::alltoallv_converted(std::span<const Wide> send,
-                                       std::span<const index_t> send_counts,
-                                       std::span<Wide> recv,
-                                       std::span<const index_t> recv_counts,
-                                       std::span<Narrow> send_stage,
-                                       std::span<Narrow> recv_stage, int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
+CommRequest Communicator::post_alltoallv(std::span<const Wide> send,
+                                         std::span<const index_t> send_counts,
+                                         std::span<Wide> recv,
+                                         std::span<const index_t> recv_counts,
+                                         std::span<Narrow> send_stage,
+                                         std::span<Narrow> recv_stage,
+                                         bool narrow, int tag) {
   const int p = size();
   const auto [self_send_off, self_recv_off] = check_alltoallv_counts(
       send_counts, recv_counts, send.size(), recv.size());
-  if (send_stage.size() < send.size() || recv_stage.size() < recv.size())
-    throw CommContractError(
-        "mpisim: alltoallv_converted staging buffers too small");
+  if (narrow &&
+      (send_stage.size() < send.size() || recv_stage.size() < recv.size()))
+    throw CommContractError("mpisim: alltoallv staging buffers too small");
   check_idle();
-  // The signature folds the NARROW width: that is what crosses the wire,
-  // so a rank disagreeing about the wire precision of an exchange (fp64
-  // vs fp32 variant, same tag) hashes differently.
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(Narrow) * 8, 0);
+  // The signature folds the width that crosses the wire, so ranks that
+  // disagree about the wire precision of an exchange (same tag) hash
+  // differently and all throw at this entry checkpoint.
+  const std::size_t wire_bytes = narrow ? sizeof(Narrow) : sizeof(Wide);
+  verify_record(ScheduleOpKind::kAlltoallv, tag,
+                static_cast<std::uint32_t>(wire_bytes * 8), 0);
   verify_checkpoint("alltoallv");
+  // Ranks that entered different alltoallvs (different tags) would pair
+  // payloads with the wrong exchange silently; O(log p), negligible next
+  // to the pairwise payload exchange.
   check_collective_consistent(tag, "alltoallv tag");
   timings_->add_exchange(time_kind_);
-  verify_fold_counts(send_counts, recv_counts, sizeof(Narrow));
+  verify_fold_counts(send_counts, recv_counts, wire_bytes);
 
-  // Self chunk: direct Wide copy (bit-exact, no staging round trip).
-  if (send_counts[rank_] > 0)
-    std::memcpy(recv.data() + self_recv_off, send.data() + self_send_off,
-                static_cast<size_t>(send_counts[rank_]) * sizeof(Wide));
-
-  // Peer chunks: narrow, ship, widen. Conversion sweeps are charged to the
-  // current comm category — they are wire-format work a native fp32
-  // transport would not need — and the volume they keep off the wire is
-  // accounted to the bytes_saved counter (sender side, like add_message).
-  for (int offset = 1; offset < p; ++offset) {
-    const int dest = (rank_ + offset) % p;
-    index_t off = 0;
-    for (int r = 0; r < dest; ++r) off += send_counts[r];
-    {
-      ScopedTimer timer(*timings_, time_kind_);
-      narrow_into(send.subspan(static_cast<size_t>(off),
-                               static_cast<size_t>(send_counts[dest])),
-                  send_stage.subspan(static_cast<size_t>(off),
-                                     static_cast<size_t>(send_counts[dest])));
-    }
-    timings_->add_saved(time_kind_,
-                        static_cast<std::uint64_t>(send_counts[dest]) *
-                            (sizeof(Wide) - sizeof(Narrow)));
-    this->send(std::span<const Narrow>(
-                   send_stage.data() + off,
-                   static_cast<size_t>(send_counts[dest])),
-               dest, tag);
-  }
-  for (int offset = 1; offset < p; ++offset) {
-    const int src = (rank_ - offset + p) % p;
-    index_t off = 0;
-    for (int r = 0; r < src; ++r) off += recv_counts[r];
-    recv_into(std::span<Narrow>(recv_stage.data() + off,
-                                static_cast<size_t>(recv_counts[src])),
-              src, tag);
-    ScopedTimer timer(*timings_, time_kind_);
-    widen_into(std::span<const Narrow>(recv_stage.data() + off,
-                                       static_cast<size_t>(recv_counts[src])),
-               recv.subspan(static_cast<size_t>(off),
-                            static_cast<size_t>(recv_counts[src])));
-  }
-}
-
-template <typename Wide, typename Narrow>
-CommRequest Communicator::ialltoallv_converted(
-    std::span<const Wide> send, std::span<const index_t> send_counts,
-    std::span<Wide> recv, std::span<const index_t> recv_counts,
-    std::span<Narrow> send_stage, std::span<Narrow> recv_stage, int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
-  const int p = size();
-  const auto [self_send_off, self_recv_off] = check_alltoallv_counts(
-      send_counts, recv_counts, send.size(), recv.size());
-  if (send_stage.size() < send.size() || recv_stage.size() < recv.size())
-    throw CommContractError(
-        "mpisim: alltoallv_converted staging buffers too small");
-  check_idle();
-  // The signature folds the NARROW width: that is what crosses the wire,
-  // so a rank disagreeing about the wire precision of an exchange (fp64
-  // vs fp32 variant, same tag) hashes differently.
-  verify_record(ScheduleOpKind::kAlltoallv, tag, sizeof(Narrow) * 8, 0);
-  verify_checkpoint("alltoallv");
-  check_collective_consistent(tag, "alltoallv tag");
-  timings_->add_exchange(time_kind_);
-  verify_fold_counts(send_counts, recv_counts, sizeof(Narrow));
-
+  // Self chunk: direct full-width copy (bit-exact, no staging round trip).
   if (send_counts[rank_] > 0)
     std::memcpy(recv.data() + self_recv_off, send.data() + self_send_off,
                 static_cast<size_t>(send_counts[rank_]) * sizeof(Wide));
@@ -1119,95 +1005,88 @@ CommRequest Communicator::ialltoallv_converted(
     const int dest = (rank_ + offset) % p;
     index_t off = 0;
     for (int r = 0; r < dest; ++r) off += send_counts[r];
-    {
-      ScopedTimer timer(*timings_, time_kind_);
-      narrow_into(send.subspan(static_cast<size_t>(off),
-                               static_cast<size_t>(send_counts[dest])),
-                  send_stage.subspan(static_cast<size_t>(off),
-                                     static_cast<size_t>(send_counts[dest])));
-    }
-    timings_->add_saved(time_kind_,
-                        static_cast<std::uint64_t>(send_counts[dest]) *
-                            (sizeof(Wide) - sizeof(Narrow)));
-    this->send(std::span<const Narrow>(
-                   send_stage.data() + off,
-                   static_cast<size_t>(send_counts[dest])),
-               dest, tag);
+    send_wire(send.subspan(static_cast<size_t>(off),
+                           static_cast<size_t>(send_counts[dest])),
+              narrow ? send_stage.data() + off : nullptr, narrow, dest, tag);
   }
   pending_recvs_.clear();
   for (int offset = 1; offset < p; ++offset) {
     const int src = (rank_ - offset + p) % p;
     index_t off = 0;
     for (int r = 0; r < src; ++r) off += recv_counts[r];
-    pending_recvs_.push_back(
-        {src, tag, reinterpret_cast<std::byte*>(recv.data() + off),
-         static_cast<size_t>(recv_counts[src]) * sizeof(Narrow),
-         static_cast<size_t>(recv_counts[src]),
-         &detail::widen_payload<Wide, Narrow>});
+    pend_recv<Wide, Narrow>(recv.subspan(static_cast<size_t>(off),
+                                         static_cast<size_t>(recv_counts[src])),
+                            narrow, src, tag);
   }
   return finish_post(post_time);
 }
 
 template <typename Wide, typename Narrow>
-void Communicator::send_narrowed(std::span<const Wide> data,
-                                 std::span<Narrow> stage, int dest, int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
-  if (stage.size() < data.size())
-    throw CommContractError("mpisim: send_narrowed staging buffer too small");
+void Communicator::send_wire(std::span<const Wide> chunk, Narrow* stage,
+                             bool narrow, int dest, int tag) {
+  if (!narrow) {
+    send(chunk, dest, tag);
+    return;
+  }
+  const std::span<Narrow> staged(stage, chunk.size());
   {
+    // Conversion sweeps are wire-format work a native fp32 transport would
+    // not need, so they are charged to the current comm category.
     ScopedTimer timer(*timings_, time_kind_);
-    narrow_into(data, stage.subspan(0, data.size()));
+    narrow_into(chunk, staged);
   }
   timings_->add_saved(time_kind_,
-                      data.size_bytes() - data.size() * sizeof(Narrow));
-  send(std::span<const Narrow>(stage.data(), data.size()), dest, tag);
+                      chunk.size() * (sizeof(Wide) - sizeof(Narrow)));
+  send(std::span<const Narrow>(staged), dest, tag);
 }
 
 template <typename Wide, typename Narrow>
-void Communicator::recv_widened(std::span<Wide> out, std::span<Narrow> stage,
-                                int src, int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
-  if (stage.size() < out.size())
-    throw CommContractError("mpisim: recv_widened staging buffer too small");
-  recv_into(stage.subspan(0, out.size()), src, tag);
-  ScopedTimer timer(*timings_, time_kind_);
-  widen_into(std::span<const Narrow>(stage.data(), out.size()), out);
-}
-
-template <typename Wide, typename Narrow>
-CommRequest Communicator::isend_narrowed(std::span<const Wide> data,
-                                         std::span<Narrow> stage, int dest,
-                                         int tag) {
-  // Buffered sends complete at post, so the "request" is already done; the
-  // narrowing + accounting are exactly the blocking call's.
-  send_narrowed(data, stage, dest, tag);
-  return CommRequest();
-}
-
-template <typename Wide, typename Narrow>
-CommRequest Communicator::irecv_widened(std::span<Wide> out,
-                                        std::span<Narrow> stage, int src,
-                                        int tag) {
-  static_assert(sizeof(Narrow) < sizeof(Wide));
-  if (stage.size() < out.size())
-    throw CommContractError("mpisim: recv_widened staging buffer too small");
-  check_idle();
-  const double post_time = backend_ ? backend_->now() : 0.0;
-  pending_recvs_.clear();
-  pending_recvs_.push_back({src, tag, reinterpret_cast<std::byte*>(out.data()),
-                            out.size() * sizeof(Narrow), out.size(),
-                            &detail::widen_payload<Wide, Narrow>});
-  return finish_post(post_time);
+void Communicator::pend_recv(std::span<Wide> out, bool narrow, int src,
+                             int tag) {
+  pending_recvs_.push_back(
+      {src, tag, reinterpret_cast<std::byte*>(out.data()),
+       out.size() * (narrow ? sizeof(Narrow) : sizeof(Wide)), out.size(),
+       narrow ? &detail::widen_payload<Wide, Narrow> : nullptr});
 }
 
 template <typename T>
-CommRequest Communicator::irecv_into(std::span<T> out, int src, int tag) {
-  static_assert(std::is_trivially_copyable_v<T>);
+void Communicator::alltoallv(std::span<const std::type_identity_t<T>> send,
+                             std::span<const index_t> send_counts,
+                             std::span<std::type_identity_t<T>> recv,
+                             std::span<const index_t> recv_counts,
+                             WireStage<T>& stage, int tag) {
+  ialltoallv(send, send_counts, recv, recv_counts, stage, tag)
+      .complete("alltoallv", false);
+}
+
+template <typename T>
+CommRequest Communicator::ialltoallv(
+    std::span<const std::type_identity_t<T>> send,
+    std::span<const index_t> send_counts,
+    std::span<std::type_identity_t<T>> recv,
+    std::span<const index_t> recv_counts, WireStage<T>& stage, int tag) {
+  return post_alltoallv(send, send_counts, recv, recv_counts,
+                        std::span(stage.send_), std::span(stage.recv_),
+                        stage.narrow(), tag);
+}
+
+template <typename T>
+void Communicator::send(std::span<const std::type_identity_t<T>> data,
+                        WireStage<T>& stage, int dest, int tag) {
+  if (stage.narrow() && stage.send_.size() < data.size())
+    throw CommContractError("mpisim: send staging buffer too small");
+  send_wire(data, stage.send_.data(), stage.narrow(), dest, tag);
+}
+
+template <typename T>
+CommRequest Communicator::irecv_into(std::span<std::type_identity_t<T>> out,
+                                     WireStage<T>& stage, int src, int tag) {
+  if (stage.narrow() && stage.recv_.size() < out.size())
+    throw CommContractError("mpisim: recv staging buffer too small");
   check_idle();
   const double post_time = backend_ ? backend_->now() : 0.0;
   pending_recvs_.clear();
-  pending_recvs_.push_back({src, tag, reinterpret_cast<std::byte*>(out.data()),
-                            out.size_bytes(), 0, nullptr});
+  pend_recv<T, typename WireStage<T>::Narrow>(out, stage.narrow(), src, tag);
   return finish_post(post_time);
 }
 

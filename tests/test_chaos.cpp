@@ -140,7 +140,8 @@ TEST(Chaos, WatchdogNonblockingWaitReportsTheMissingPeer) {
         [&](Communicator& comm) {
           if (comm.rank() == 1) return;  // never sends
           std::vector<double> a(1);
-          auto req = comm.irecv_into(std::span<double>(a), 1, /*tag=*/12);
+          WireStage<double> fp64;
+          auto req = comm.irecv_into(a, fp64, 1, /*tag=*/12);
           try {
             req.wait();
           } catch (const CommTimeoutError& e) {

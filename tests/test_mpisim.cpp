@@ -105,19 +105,34 @@ TEST_P(SpmdSize, AllgatherOrdered) {
 }
 
 TEST_P(SpmdSize, AlltoallvUnevenPayloads) {
-  // Rank r sends r+q+1 values "r*1000 + q" to rank q.
+  // Rank r sends r+q+1 values "r*1000 + q" to rank q, through the
+  // zero-allocation flat-buffer alltoallv.
   const int p = GetParam();
   std::atomic<int> failures{0};
   run_spmd(p, [&](Communicator& comm) {
     const int r = comm.rank();
-    std::vector<std::vector<int>> send(p);
-    for (int q = 0; q < p; ++q) send[q].assign(r + q + 1, r * 1000 + q);
-    auto recv = comm.alltoallv(std::move(send), /*tag=*/11);
+    std::vector<index_t> send_counts(p), recv_counts(p);
     for (int q = 0; q < p; ++q) {
-      if (recv[q].size() != static_cast<size_t>(q + r + 1)) ++failures;
-      for (int v : recv[q])
-        if (v != q * 1000 + r) ++failures;
+      send_counts[q] = r + q + 1;
+      recv_counts[q] = q + r + 1;
     }
+    index_t stotal = 0, rtotal = 0;
+    for (int q = 0; q < p; ++q) {
+      stotal += send_counts[q];
+      rtotal += recv_counts[q];
+    }
+    std::vector<int> send(stotal), recv(rtotal);
+    index_t pos = 0;
+    for (int q = 0; q < p; ++q)
+      for (index_t i = 0; i < send_counts[q]; ++i) send[pos++] = r * 1000 + q;
+    comm.alltoallv(std::span<const int>(send),
+                   std::span<const index_t>(send_counts),
+                   std::span<int>(recv), std::span<const index_t>(recv_counts),
+                   /*tag=*/31);
+    pos = 0;
+    for (int q = 0; q < p; ++q)
+      for (index_t i = 0; i < recv_counts[q]; ++i)
+        if (recv[pos++] != q * 1000 + r) ++failures;
   });
   EXPECT_EQ(failures.load(), 0);
 }
@@ -293,41 +308,6 @@ TEST(Collectives, VectorAllreduceEmptyBatchIsClean) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST_P(SpmdSize, SpanAlltoallvMatchesVectorOverload) {
-  // The zero-allocation flat-buffer alltoallv must deliver exactly what the
-  // vector-of-vectors overload does, including uneven per-peer chunks.
-  const int p = GetParam();
-  std::atomic<int> failures{0};
-  run_spmd(p, [&](Communicator& comm) {
-    const int r = comm.rank();
-    // Same payload schedule as AlltoallvUnevenPayloads: r sends r+q+1
-    // values "r*1000 + q" to q.
-    std::vector<index_t> send_counts(p), recv_counts(p);
-    for (int q = 0; q < p; ++q) {
-      send_counts[q] = r + q + 1;
-      recv_counts[q] = q + r + 1;
-    }
-    index_t stotal = 0, rtotal = 0;
-    for (int q = 0; q < p; ++q) {
-      stotal += send_counts[q];
-      rtotal += recv_counts[q];
-    }
-    std::vector<int> send(stotal), recv(rtotal);
-    index_t pos = 0;
-    for (int q = 0; q < p; ++q)
-      for (index_t i = 0; i < send_counts[q]; ++i) send[pos++] = r * 1000 + q;
-    comm.alltoallv(std::span<const int>(send),
-                   std::span<const index_t>(send_counts),
-                   std::span<int>(recv), std::span<const index_t>(recv_counts),
-                   /*tag=*/31);
-    pos = 0;
-    for (int q = 0; q < p; ++q)
-      for (index_t i = 0; i < recv_counts[q]; ++i)
-        if (recv[pos++] != q * 1000 + r) ++failures;
-  });
-  EXPECT_EQ(failures.load(), 0);
-}
-
 TEST(Collectives, SpanAlltoallvRejectsBadCounts) {
   EXPECT_THROW(
       run_spmd(2,
@@ -364,8 +344,9 @@ TEST(Collectives, AlltoallvDetectsCollectiveMismatch) {
   // consistency self-check instead of silently mixing exchanges.
   EXPECT_THROW(run_spmd(2,
                         [&](Communicator& comm) {
-                          std::vector<std::vector<int>> bufs(2);
-                          comm.alltoallv(std::move(bufs),
+                          const std::vector<index_t> none(2, 0);
+                          comm.alltoallv(std::span<const int>(), none,
+                                         std::span<int>(), none,
                                          comm.rank() == 0 ? 21 : 22);
                         }),
                std::runtime_error);
@@ -502,10 +483,15 @@ TEST(MixedWire, ConvertedCallsRejectUndersizedStaging) {
                      std::span<const index_t>(counts), std::span<float>(small),
                      std::span<float>(stage), 63),
                  std::runtime_error);
-    EXPECT_THROW(
-        comm.send_narrowed(std::span<const double>(payload),
-                           std::span<float>(small), 0, 64),
-        std::runtime_error);
+    // A plan's kF32 stage sized below the payload is refused by every
+    // staged entry point too.
+    WireStage<double> wire32(WirePrecision::kF32);
+    wire32.reserve(2, 2);
+    EXPECT_THROW(comm.alltoallv(payload, counts, out, counts, wire32, 65),
+                 CommContractError);
+    EXPECT_THROW(comm.send(payload, wire32, 0, 64), CommContractError);
+    EXPECT_THROW((void)comm.irecv_into(out, wire32, 0, 64),
+                 CommContractError);
   });
 }
 
@@ -525,108 +511,99 @@ TEST(Spmd, LargeMessageRoundTrip) {
   });
 }
 
-TEST(Nonblocking, IalltoallvMatchesBlocking) {
-  // The nonblocking alltoallv must deliver bitwise what the blocking call
-  // does — same payloads, same counters — for every process count; the
-  // self chunk must already be valid at post time (before wait()).
-  for (int p : {1, 2, 4, 6}) {
+// The staged alltoallv over {fp64, fp32 wire} x {blocking, posted}: every
+// combination must deliver the wire rounding of each PEER chunk and the
+// bit-exact SELF chunk, and ship exactly its payload — so the four pinned
+// counter sets prove blocking and posted schedules identical per wire.
+class StagedAlltoallv
+    : public ::testing::TestWithParam<std::tuple<WirePrecision, bool>> {};
+
+TEST_P(StagedAlltoallv, DeliversWireRoundingAndPinsCounters) {
+  const WirePrecision wire = std::get<0>(GetParam());
+  const bool posted = std::get<1>(GetParam());
+  const bool narrow = wire == WirePrecision::kF32;
+  for (int p : {1, 2, 3, 4, 6}) {
     run_spmd(p, [&](Communicator& comm) {
       const int r = comm.rank();
       std::vector<index_t> send_counts(p), recv_counts(p);
-      index_t stotal = 0, rtotal = 0;
+      index_t stotal = 0, rtotal = 0, peer_elems = 0;
       for (int q = 0; q < p; ++q) {
-        send_counts[q] = r + q + 1;
+        send_counts[q] = r + q + 1;  // uneven, asymmetric
         recv_counts[q] = q + r + 1;
         stotal += send_counts[q];
         rtotal += recv_counts[q];
+        if (q != r) peer_elems += send_counts[q];
       }
-      std::vector<double> send(stotal), blocking(rtotal), nb(rtotal, -1);
-      for (index_t i = 0; i < stotal; ++i)
-        send[i] = 0.25 + r + i * 0.9162907318741551;
-
+      // Element k of the chunk rank `from` sends to rank `to` (needs
+      // rounding at fp32).
+      const auto value = [](int from, int to, index_t k) {
+        return 0.1 + 1000.0 * from + to + k * 0.7853981633974483;
+      };
+      std::vector<double> send(stotal), recv(rtotal, -1);
+      for (int q = 0, pos = 0; q < p; ++q)
+        for (index_t k = 0; k < send_counts[q]; ++k) send[pos++] = value(r, q, k);
+      WireStage<double> stage(wire);
+      stage.reserve(send.size(), recv.size());
       comm.set_time_kind(TimeKind::kFftComm);
+
+      // Baseline: the same collective with empty chunks carries the
+      // consistency-check traffic and p-1 empty messages, nothing else.
+      const std::vector<index_t> none(p, 0);
       const Timings t0 = comm.timings();
-      comm.alltoallv(std::span<const double>(send),
-                     std::span<const index_t>(send_counts),
-                     std::span<double>(blocking),
-                     std::span<const index_t>(recv_counts), 71);
+      comm.alltoallv(std::span<const double>(), none, std::span<double>(),
+                     none, stage, 70);
       const Timings t1 = comm.timings();
-      auto req = comm.ialltoallv(std::span<const double>(send),
-                                 std::span<const index_t>(send_counts),
-                                 std::span<double>(nb),
-                                 std::span<const index_t>(recv_counts), 72);
-      // The self chunk never crosses the wire: it is delivered at post.
       index_t self_off = 0;
       for (int q = 0; q < r; ++q) self_off += recv_counts[q];
-      for (index_t i = 0; i < recv_counts[r]; ++i)
-        ASSERT_EQ(nb[self_off + i], blocking[self_off + i])
-            << "p=" << p << " rank=" << r;
-      req.wait();
-      const Timings t2 = comm.timings();
-
-      for (index_t i = 0; i < rtotal; ++i)
-        ASSERT_EQ(nb[i], blocking[i]) << "p=" << p << " rank=" << r;
-      EXPECT_TRUE(req.done());
-
-      // Identical message schedule: the counter deltas of the two calls
-      // match exactly.
-      const Timings db = timings_delta(t0, t1);
-      const Timings dn = timings_delta(t1, t2);
-      EXPECT_EQ(db.messages(TimeKind::kFftComm),
-                dn.messages(TimeKind::kFftComm));
-      EXPECT_EQ(db.bytes(TimeKind::kFftComm), dn.bytes(TimeKind::kFftComm));
-      EXPECT_EQ(dn.exchanges(TimeKind::kFftComm), 1u);
-    });
-  }
-}
-
-TEST(Nonblocking, IalltoallvConvertedMatchesBlocking) {
-  // The nonblocking mixed-wire alltoallv must round exactly like the
-  // blocking one (peer chunks through fp32, self chunk wide) and account
-  // the same narrowed bytes + savings.
-  for (int p : {1, 2, 4}) {
-    run_spmd(p, [&](Communicator& comm) {
-      const int r = comm.rank();
-      std::vector<index_t> send_counts(p), recv_counts(p);
-      index_t stotal = 0, rtotal = 0;
-      for (int q = 0; q < p; ++q) {
-        send_counts[q] = r + q + 1;
-        recv_counts[q] = q + r + 1;
-        stotal += send_counts[q];
-        rtotal += recv_counts[q];
+      if (posted) {
+        auto req = comm.ialltoallv(send, send_counts, recv, recv_counts, stage,
+                                   71);
+        // The self chunk never crosses the wire: it is delivered at post.
+        for (index_t k = 0; k < recv_counts[r]; ++k)
+          ASSERT_EQ(recv[self_off + k], value(r, r, k)) << "p=" << p;
+        req.wait();
+        EXPECT_TRUE(req.done());
+      } else {
+        comm.alltoallv(send, send_counts, recv, recv_counts, stage, 71);
       }
-      std::vector<double> send(stotal), blocking(rtotal), nb(rtotal, -1);
-      for (index_t i = 0; i < stotal; ++i)
-        send[i] = 0.1 + r + i * 0.7853981633974483;
-      std::vector<float> sstage(stotal), rstage(rtotal);
-
-      comm.set_time_kind(TimeKind::kInterpComm);
-      const Timings t0 = comm.timings();
-      comm.alltoallv_converted(
-          std::span<const double>(send), std::span<const index_t>(send_counts),
-          std::span<double>(blocking), std::span<const index_t>(recv_counts),
-          std::span<float>(sstage), std::span<float>(rstage), 73);
-      const Timings t1 = comm.timings();
-      auto req = comm.ialltoallv_converted(
-          std::span<const double>(send), std::span<const index_t>(send_counts),
-          std::span<double>(nb), std::span<const index_t>(recv_counts),
-          std::span<float>(sstage), std::span<float>(rstage), 74);
-      req.wait();
       const Timings t2 = comm.timings();
 
-      for (index_t i = 0; i < rtotal; ++i)
-        ASSERT_EQ(nb[i], blocking[i]) << "p=" << p << " rank=" << r;
-      const Timings db = timings_delta(t0, t1);
-      const Timings dn = timings_delta(t1, t2);
-      EXPECT_EQ(db.messages(TimeKind::kInterpComm),
-                dn.messages(TimeKind::kInterpComm));
-      EXPECT_EQ(db.bytes(TimeKind::kInterpComm),
-                dn.bytes(TimeKind::kInterpComm));
-      EXPECT_EQ(db.saved_bytes(TimeKind::kInterpComm),
-                dn.saved_bytes(TimeKind::kInterpComm));
+      for (int q = 0, pos = 0; q < p; ++q)
+        for (index_t k = 0; k < recv_counts[q]; ++k, ++pos) {
+          const double sent = value(q, r, k);
+          const double expected =
+              narrow && q != r ? static_cast<double>(static_cast<float>(sent))
+                               : sent;
+          ASSERT_EQ(recv[pos], expected) << "p=" << p << " rank=" << r;
+        }
+      const Timings base = timings_delta(t0, t1);
+      const Timings d = timings_delta(t1, t2);
+      const std::uint64_t wire_bytes = narrow ? sizeof(float) : sizeof(double);
+      EXPECT_EQ(d.exchanges(TimeKind::kFftComm), 1u);
+      EXPECT_EQ(d.messages(TimeKind::kFftComm),
+                base.messages(TimeKind::kFftComm));
+      EXPECT_EQ(d.bytes(TimeKind::kFftComm) - base.bytes(TimeKind::kFftComm),
+                static_cast<std::uint64_t>(peer_elems) * wire_bytes);
+      EXPECT_EQ(d.saved_bytes(TimeKind::kFftComm),
+                narrow ? static_cast<std::uint64_t>(peer_elems) *
+                             (sizeof(double) - sizeof(float))
+                       : 0u);
+      if (!posted) {
+        EXPECT_EQ(d.hidden(TimeKind::kFftComm), 0.0);
+      }
     });
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    WireBySchedule, StagedAlltoallv,
+    ::testing::Combine(::testing::Values(WirePrecision::kF64,
+                                         WirePrecision::kF32),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return std::string(wire_precision_name(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "Posted" : "Blocking");
+    });
 
 TEST(Nonblocking, CommCallWhileRequestOutstandingThrows) {
   // One outstanding request at a time: any receive posted before wait()
@@ -639,10 +616,8 @@ TEST(Nonblocking, CommCallWhileRequestOutstandingThrows) {
     std::vector<double> send{static_cast<double>(10 + r),
                              static_cast<double>(10 + r)};
     std::vector<double> recv(2, -1);
-    auto req = comm.ialltoallv(std::span<const double>(send),
-                               std::span<const index_t>(counts),
-                               std::span<double>(recv),
-                               std::span<const index_t>(counts), 75);
+    WireStage<double> fp64;
+    auto req = comm.ialltoallv(send, counts, recv, counts, fp64, 75);
     EXPECT_FALSE(req.done());
     try {
       (void)comm.recv<double>(peer, /*tag=*/99);
@@ -665,7 +640,8 @@ TEST(Nonblocking, WaitRejectsMismatchedPayloadSize) {
     std::vector<double> payload(4, 1.5);
     comm.send(std::span<const double>(payload), peer, /*tag=*/76);
     std::vector<double> small(3);
-    auto req = comm.irecv_into(std::span<double>(small), peer, /*tag=*/76);
+    WireStage<double> fp64;
+    auto req = comm.irecv_into(small, fp64, peer, /*tag=*/76);
     try {
       req.wait();
     } catch (const std::runtime_error&) {
@@ -675,31 +651,56 @@ TEST(Nonblocking, WaitRejectsMismatchedPayloadSize) {
   EXPECT_EQ(threw.load(), 2);
 }
 
-TEST(Nonblocking, IsendNarrowedIrecvWidenedPairwise) {
-  // The nonblocking narrowing/widening point-to-point pair must round
-  // exactly like send_narrowed/recv_widened.
-  run_spmd(2, [&](Communicator& comm) {
+// Staged point-to-point over both wires: the blocking and the posted
+// receive must both deliver the wire rounding of the payload, and each send
+// ships exactly one message of the wire width (no exchange entered).
+class StagedPointToPoint : public ::testing::TestWithParam<WirePrecision> {};
+
+TEST_P(StagedPointToPoint, RoundsLikeTheWireAndPinsCounters) {
+  const WirePrecision wire = GetParam();
+  const bool narrow = wire == WirePrecision::kF32;
+  auto timings = run_spmd(2, [&](Communicator& comm) {
     const int r = comm.rank();
     const int peer = 1 - r;
     const size_t n = 64;
-    std::vector<double> out_send(n), got(n, -1);
-    for (size_t i = 0; i < n; ++i)
-      out_send[i] = 0.3 + r + i * 1.0471975511965976;
-    std::vector<float> sstage(n), rstage(n);
+    const auto value = [](int from, size_t i) {
+      return 0.3 + from + i * 1.0471975511965976;
+    };
+    std::vector<double> out_send(n), blocking(n, -1), posted(n, -1);
+    for (size_t i = 0; i < n; ++i) out_send[i] = value(r, i);
+    WireStage<double> stage(wire);
+    stage.reserve(n, n);
     comm.set_time_kind(TimeKind::kInterpComm);
-    auto sreq = comm.isend_narrowed(std::span<const double>(out_send),
-                                    std::span<float>(sstage), peer, 77);
-    EXPECT_TRUE(sreq.done());  // buffered send: complete at post
-    auto rreq = comm.irecv_widened(std::span<double>(got),
-                                   std::span<float>(rstage), peer, 77);
-    rreq.wait();
+    comm.timings().clear();
+    comm.send(out_send, stage, peer, 77);
+    comm.send(out_send, stage, peer, 78);
+    comm.recv_into(blocking, stage, peer, 77);
+    auto req = comm.irecv_into(posted, stage, peer, 78);
+    req.wait();
     for (size_t i = 0; i < n; ++i) {
-      const double expected = static_cast<double>(
-          static_cast<float>(0.3 + peer + i * 1.0471975511965976));
-      ASSERT_EQ(got[i], expected) << "i=" << i;
+      const double expected =
+          narrow ? static_cast<double>(static_cast<float>(value(peer, i)))
+                 : value(peer, i);
+      ASSERT_EQ(blocking[i], expected) << "i=" << i;
+      ASSERT_EQ(posted[i], expected) << "i=" << i;
     }
   });
+  for (const auto& t : timings) {
+    EXPECT_EQ(t.messages(TimeKind::kInterpComm), 2u);
+    EXPECT_EQ(t.bytes(TimeKind::kInterpComm),
+              2 * 64 * (narrow ? sizeof(float) : sizeof(double)));
+    EXPECT_EQ(t.exchanges(TimeKind::kInterpComm), 0u);
+    EXPECT_EQ(t.saved_bytes(TimeKind::kInterpComm),
+              narrow ? 2 * 64 * (sizeof(double) - sizeof(float)) : 0u);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(Wire, StagedPointToPoint,
+                         ::testing::Values(WirePrecision::kF64,
+                                           WirePrecision::kF32),
+                         [](const auto& info) {
+                           return std::string(wire_precision_name(info.param));
+                         });
 
 TEST(Nonblocking, HiddenTimeAccountsOverlappedFlight) {
   // Compute performed between post and wait must surface as hidden comm
@@ -719,10 +720,8 @@ TEST(Nonblocking, HiddenTimeAccountsOverlappedFlight) {
     EXPECT_EQ(comm.timings().hidden(TimeKind::kFftComm), 0.0);
 
     const Timings before = comm.timings();
-    auto req = comm.ialltoallv(std::span<const double>(send),
-                               std::span<const index_t>(counts),
-                               std::span<double>(recv),
-                               std::span<const index_t>(counts), 79);
+    WireStage<double> fp64;
+    auto req = comm.ialltoallv(send, counts, recv, counts, fp64, 79);
     // "Compute" under the flight, so the payload lands before wait().
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     req.wait();
@@ -744,9 +743,10 @@ TEST(Collectives, AlltoallvConsistencyThrowsOnEveryRank) {
   std::atomic<int> threw{0};
   EXPECT_THROW(run_spmd(4,
                         [&](Communicator& comm) {
-                          std::vector<std::vector<int>> bufs(4);
+                          const std::vector<index_t> none(4, 0);
                           try {
-                            comm.alltoallv(std::move(bufs),
+                            comm.alltoallv(std::span<const int>(), none,
+                                           std::span<int>(), none,
                                            comm.rank() == 2 ? 22 : 21);
                           } catch (const std::runtime_error&) {
                             ++threw;
@@ -763,16 +763,14 @@ TEST(Nonblocking, WaitRejectsMismatchedFp32WirePayload) {
   // fails at wait() instead of widening garbage.
   std::atomic<int> threw{0};
   run_spmd(2, [&](Communicator& comm) {
+    WireStage<double> stage(WirePrecision::kF32);
+    stage.reserve(8, 6);
     if (comm.rank() == 0) {
       std::vector<double> payload(8, 2.25);
-      std::vector<float> sstage(8);
-      comm.send_narrowed(std::span<const double>(payload),
-                         std::span<float>(sstage), 1, /*tag=*/81);
+      comm.send(payload, stage, 1, /*tag=*/81);
     } else {
       std::vector<double> out(6);
-      std::vector<float> rstage(6);
-      auto req = comm.irecv_widened(std::span<double>(out),
-                                    std::span<float>(rstage), 0, /*tag=*/81);
+      auto req = comm.irecv_into(out, stage, 0, /*tag=*/81);
       try {
         req.wait();
       } catch (const std::runtime_error&) {
@@ -797,8 +795,9 @@ TEST(Nonblocking, DrainOnDestroyLogsRatedWarning) {
     const int peer = 1 - comm.rank();
     std::vector<double> payload(4, 1.5), out(4);
     comm.send(std::span<const double>(payload), peer, /*tag=*/83);
+    WireStage<double> fp64;
     {
-      auto req = comm.irecv_into(std::span<double>(out), peer, /*tag=*/83);
+      auto req = comm.irecv_into(out, fp64, peer, /*tag=*/83);
       // req destroyed without wait(): must drain and warn, not throw.
     }
     comm.barrier();
@@ -825,7 +824,8 @@ TEST(Nonblocking, DrainWarningIsRateLimited) {
     for (int k = 0; k < 6; ++k) {
       std::vector<double> payload(1, 1.0), out(1);
       comm.send(std::span<const double>(payload), 0, /*tag=*/84);
-      auto req = comm.irecv_into(std::span<double>(out), 0, /*tag=*/84);
+      WireStage<double> fp64;
+      auto req = comm.irecv_into(out, fp64, 0, /*tag=*/84);
     }
   });
   Logger::instance().set_sink(nullptr);
@@ -894,10 +894,9 @@ TEST(ConcurrencyStress, NonblockingTestPollsRaceArrivals) {
     std::vector<double> send(4 * 8, comm.rank());
     std::vector<double> recv(4 * 8);
     std::vector<index_t> counts(4, 8);
+    WireStage<double> fp64;
     for (int round = 0; round < 30; ++round) {
-      auto req = comm.ialltoallv(std::span<const double>(send), counts,
-                                 std::span<double>(recv), counts,
-                                 /*tag=*/99);
+      auto req = comm.ialltoallv(send, counts, recv, counts, fp64, /*tag=*/99);
       while (!req.test()) {
       }
       for (int r = 0; r < 4; ++r)
@@ -1032,6 +1031,41 @@ TEST(ScheduleVerify, SkippedExchangeRaisesOnEveryRankNamingTheFirstOp) {
     // Each rank names ITS op at the diverging index: the skipping rank had
     // already moved on to tag 403, everyone else was entering tag 402.
     EXPECT_NE(description[r].find(r == 1 ? "403" : "402"), std::string::npos)
+        << "rank " << r << ": " << description[r];
+  }
+}
+
+TEST(ScheduleVerify, WireDisagreementRaisesOnEveryRank) {
+  // The exchange signature folds the width that crosses the wire, so a
+  // rank posting an exchange at fp64 while its peer posts the same tag at
+  // fp32 must be caught at the entry checkpoint — before any payload is
+  // misread at the wrong width — with every rank throwing and naming its
+  // own wire.
+  const int p = 2;
+  std::vector<std::string> description(p);
+  std::vector<long> index(p, -2);
+  SpmdOptions opts;
+  opts.verify_schedule = true;
+  run_spmd(
+      p,
+      [&](Communicator& comm) {
+        const std::vector<index_t> counts(p, 3);
+        std::vector<double> send(3 * p, 1.0 + comm.rank()), recv(3 * p);
+        WireStage<double> stage(comm.rank() == 0 ? WirePrecision::kF64
+                                                 : WirePrecision::kF32);
+        stage.reserve(send.size(), recv.size());
+        try {
+          comm.alltoallv(send, counts, recv, counts, stage, /*tag=*/450);
+        } catch (const ScheduleDivergenceError& e) {
+          index[comm.rank()] = e.first_mismatch_index();
+          description[comm.rank()] = e.op_description();
+        }
+      },
+      opts);
+  for (int r = 0; r < p; ++r) {
+    EXPECT_EQ(index[r], 0) << "rank " << r;
+    EXPECT_NE(description[r].find(r == 0 ? "wire 64-bit" : "wire 32-bit"),
+              std::string::npos)
         << "rank " << r << ": " << description[r];
   }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific contract lint for the diffreg tree.
 
-Four rules, each encoding a cross-file invariant the compiler cannot see
+Five rules, each encoding a cross-file invariant the compiler cannot see
 (docs/ANALYSIS.md has the full rationale):
 
   zero-alloc        A function annotated with a `// diffreg:zero-alloc`
@@ -24,6 +24,12 @@ Four rules, each encoding a cross-file invariant the compiler cannot see
                     `TimeKind::kX` somewhere outside its declaration —
                     a category nothing accounts to is dead weight in every
                     report table.
+  wire-dispatch     No `WirePrecision::kF32` comparison outside src/mpisim,
+                    src/common/precision.hpp and src/core/options.hpp.
+                    Plans hand their mpisim::WireStage to one exchange
+                    entry point, which decides the wire format; a plan
+                    branching on the wire itself is how the fp64/fp32
+                    twin call sites came back.
 
 Backends: the token scanner below is self-contained (no third-party
 imports) and is what runs everywhere, including the no-network build
@@ -48,7 +54,8 @@ import re
 import sys
 from dataclasses import dataclass
 
-RULE_IDS = ("zero-alloc", "timings-plumbing", "mpisim-throw", "timekind-unused")
+RULE_IDS = ("zero-alloc", "timings-plumbing", "mpisim-throw",
+            "timekind-unused", "wire-dispatch")
 
 MARKER = "diffreg:zero-alloc"
 
@@ -463,6 +470,34 @@ def check_timekind(root: str) -> list[Finding]:
             for v in values if v not in referenced]
 
 
+# --- Rule: wire-dispatch -----------------------------------------------------
+
+# Where the wire precision may be decided: the exchange core, the enum's own
+# helpers, and the option that maps --precision onto a wire.
+WIRE_DECIDERS = (os.path.join("src", "mpisim") + os.sep,
+                 os.path.join("src", "common", "precision.hpp"),
+                 os.path.join("src", "core", "options.hpp"))
+
+WIRE_COMPARISON = re.compile(r"(?:[=!]=\s*WirePrecision::kF32\b|"
+                             r"\bWirePrecision::kF32\s*[=!]=)")
+
+
+def check_wire_dispatch(root: str) -> list[Finding]:
+    findings = []
+    for path in source_files(root, "src"):
+        rel = os.path.relpath(path, root)
+        if rel.startswith(WIRE_DECIDERS):
+            continue
+        stripped = strip_comments_and_strings(
+            open(path, encoding="utf-8").read())
+        for m in WIRE_COMPARISON.finditer(stripped):
+            findings.append(Finding(
+                path, line_of(stripped, m.start()), "wire-dispatch",
+                "WirePrecision::kF32 comparison outside mpisim: pass the "
+                "plan's mpisim::WireStage to the exchange instead"))
+    return findings
+
+
 # --- Driver ------------------------------------------------------------------
 
 def run_all(root: str, compile_commands: str | None) -> list[Finding]:
@@ -477,6 +512,7 @@ def run_all(root: str, compile_commands: str | None) -> list[Finding]:
     findings += check_timings(root)
     findings += check_mpisim_throws(root)
     findings += check_timekind(root)
+    findings += check_wire_dispatch(root)
     # The AST backend may re-report a token-level hit; dedupe on
     # (path, rule, line) so the count stays stable across backends.
     seen = set()
