@@ -1,18 +1,16 @@
-// Shared harness for the paper-reproduction benchmarks: runs one
-// registration case under mpisim and reports the columns of the paper's
-// tables (time to solution, FFT comm/exec, interpolation comm/exec).
+// Shared harness of the trajectory reporters (fft_report, semilag_report,
+// mixed_report, continuation_report, batch_report): their CLI parsing and
+// the fft/semilag trajectory cases they time.
 //
 // Scaling note: ranks are threads in one process, so on a small host (the
-// tables were sized on 2 physical cores, no MPI) rank counts beyond the
-// core count oversubscribe; the tables reproduce the paper's *structure*
-// (who wins, comm/exec split, trends), not TACC's absolute numbers. Grid
-// sizes are scaled down from the paper's 64^3-1024^3 to 32^3-96^3 so every
-// binary finishes in seconds to a few minutes.
+// baselines were recorded on 1-2 physical cores, no MPI) rank counts beyond
+// the core count oversubscribe; the reports track the comm counters and the
+// comm/exec split exactly and wall times only structurally, not TACC's
+// absolute numbers.
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <mutex>
 #include <span>
 #include <string>
@@ -68,8 +66,6 @@ inline bool parse_wire_args(int argc, char** argv, const char* prog,
   }
   return true;
 }
-
-enum class Workload { kSynthetic, kSyntheticDivFree, kBrain };
 
 // ---------------------------------------------------------------------------
 // Shared trajectory cases of the fft/semilag reporters. One definition
@@ -230,98 +226,6 @@ inline SemilagCaseResult run_semilag_trajectory_case(index_t n, int p,
   out.interp_vec3_ms = vec3_max * 1e3;
   out.matvec_agg = agg;
   return out;
-}
-
-struct CaseConfig {
-  Int3 dims{32, 32, 32};
-  int ranks = 1;
-  Workload workload = Workload::kSynthetic;
-  real_t velocity_amplitude = 0.5;
-  core::RegistrationOptions options;
-};
-
-struct CaseResult {
-  double time_to_solution = 0;
-  Timings timings;  // max over ranks (slowest-rank reporting, as the paper)
-  real_t rel_residual = 1;
-  real_t min_det = 0, max_det = 0;
-  int newton_iters = 0;
-  int matvecs = 0;
-  bool converged = false;
-};
-
-/// Runs one registration case end to end and aggregates rank timings.
-inline CaseResult run_case(const CaseConfig& config) {
-  CaseResult out;
-  auto rank_timings = mpisim::run_spmd(
-      config.ranks, [&](mpisim::Communicator& comm) {
-        grid::PencilDecomp decomp(comm, config.dims);
-        spectral::SpectralOps ops(decomp);
-
-        grid::ScalarField rho_t, rho_r;
-        switch (config.workload) {
-          case Workload::kSynthetic: {
-            rho_t = imaging::synthetic_template(decomp);
-            auto v = imaging::synthetic_velocity(decomp,
-                                                 config.velocity_amplitude);
-            rho_r = imaging::make_reference(ops, rho_t, v);
-            break;
-          }
-          case Workload::kSyntheticDivFree: {
-            rho_t = imaging::synthetic_template(decomp);
-            auto v = imaging::synthetic_velocity_divfree(
-                decomp, config.velocity_amplitude);
-            rho_r = imaging::make_reference(ops, rho_t, v);
-            break;
-          }
-          case Workload::kBrain: {
-            rho_r = imaging::brain_phantom(decomp, 1);
-            rho_t = imaging::brain_phantom(decomp, 2);
-            break;
-          }
-        }
-
-        core::RegistrationSolver solver(decomp, config.options);
-        auto result = solver.run(rho_t, rho_r);
-        if (comm.is_root()) {
-          out.time_to_solution = result.time_to_solution;
-          out.rel_residual = result.rel_residual;
-          out.min_det = result.min_det;
-          out.max_det = result.max_det;
-          out.newton_iters = result.newton.iterations;
-          out.matvecs = result.newton.total_matvecs;
-          out.converged = result.newton.converged;
-        }
-      });
-  for (const auto& t : rank_timings) out.timings.max_with(t);
-  return out;
-}
-
-/// Paper-style table header (Tables I-IV share these columns).
-inline void print_scaling_header(const char* title) {
-  std::printf("%s\n", title);
-  std::printf("%4s %12s %6s %16s | %10s %10s | %12s %12s | %8s\n", "#",
-              "grid", "tasks", "time to solution", "fft comm", "fft exec",
-              "interp comm", "interp exec", "rel res");
-}
-
-inline void print_scaling_row(int id, const Int3& dims, int ranks,
-                              const CaseResult& r) {
-  char grid[32];
-  if (dims[0] == dims[1] && dims[1] == dims[2])
-    std::snprintf(grid, sizeof grid, "%lld^3",
-                  static_cast<long long>(dims[0]));
-  else
-    std::snprintf(grid, sizeof grid, "%lldx%lldx%lld",
-                  static_cast<long long>(dims[0]),
-                  static_cast<long long>(dims[1]),
-                  static_cast<long long>(dims[2]));
-  std::printf(
-      "%4d %12s %6d %16.2f | %10.2f %10.2f | %12.2f %12.2f | %8.3f\n", id,
-      grid, ranks, r.time_to_solution, r.timings.get(TimeKind::kFftComm),
-      r.timings.get(TimeKind::kFftExec),
-      r.timings.get(TimeKind::kInterpComm),
-      r.timings.get(TimeKind::kInterpExec), r.rel_residual);
 }
 
 }  // namespace diffreg::bench

@@ -14,6 +14,7 @@ int main() {
   const Int3 dims{32, 32, 32};
   const int ranks = 2;
 
+  bool pass = false;  // set by the root rank
   mpisim::run_spmd(ranks, [&](mpisim::Communicator& comm) {
     grid::PencilDecomp decomp(comm, dims);
     spectral::SpectralOps ops(decomp);
@@ -47,10 +48,9 @@ int main() {
       std::printf("  max |div v|         : %.3e\n", div_norm);
       std::printf("  det(grad y) in [%.4f, %.4f] (volume preserving -> 1)\n",
                   result.min_det, result.max_det);
-      const bool pass =
-          result.rel_residual < 0.7 && div_norm < 1e-8 && vol_error < 0.05;
+      pass = result.rel_residual < 0.7 && div_norm < 1e-8 && vol_error < 0.05;
       std::printf("incompressible %s\n", pass ? "PASSED" : "FAILED");
     }
   });
-  return 0;
+  return pass ? 0 : 1;
 }

@@ -413,7 +413,7 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
       };
       try {
         for (int qi : fresh) materialize(qi);
-        if (opts.fuse_exchanges) presmooth(fresh);
+        presmooth(fresh);
       } catch (const grid::NonFiniteFieldError& e) {
         input_fault(e.what());
       } catch (const mpisim::CommError& e) {
@@ -677,55 +677,53 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
   if (opts.want_deformed) {
     out.deformed.resize(static_cast<std::size_t>(jn));
     bool deformed_ok = false;
-    if (opts.fuse_exchanges) {
-      try {
-        for (int qi : my_completed) materialize(qi);
-        std::map<
-            std::tuple<index_t, index_t, index_t, int, int, int, int, int>,
-            std::vector<int>>
-            groups;
-        for (int i = 0; i < jn; ++i) {
-          const BatchJobSpec& spec = queue_[my_completed[i]];
-          const semilag::TransportConfig tc =
-              transport_config(spec.request.options);
-          groups[{spec.dims[0], spec.dims[1], spec.dims[2], tc.nt,
-                  static_cast<int>(tc.method), tc.incompressible ? 1 : 0,
-                  static_cast<int>(tc.wire), tc.overlap ? 1 : 0}]
-              .push_back(i);
-        }
-        for (auto& [key, members] : groups) {
-          const int g = static_cast<int>(members.size());
-          const BatchJobSpec& spec0 = queue_[my_completed[members[0]]];
-          const semilag::TransportConfig tc =
-              transport_config(spec0.request.options);
-          auto decomp = ctx->registry->decomp(spec0.dims);
-          std::vector<std::shared_ptr<semilag::Transport>> leased(g);
-          std::vector<semilag::Transport*> transports(g);
-          std::vector<const ScalarField*> templates(g);
-          for (int q = 0; q < g; ++q) {
-            const int qi = my_completed[members[q]];
-            leased[q] = ctx->registry->acquire_transport(spec0.dims, tc);
-            transports[q] = leased[q].get();
-            transports[q]->set_velocity(my_reports[qi].velocity);
-            templates[q] = jobdata[qi].rho_t;  // unsmoothed template
-          }
-          interp::FusedInterp fused(*decomp, tc.wire, tc.overlap);
-          semilag::solve_states_fused(
-              std::span<semilag::Transport* const>(transports),
-              std::span<const ScalarField* const>(templates), fused);
-          for (int q = 0; q < g; ++q) {
-            out.deformed[static_cast<std::size_t>(members[q])] =
-                transports[q]->final_state();
-            ctx->registry->release_transport(spec0.dims, tc,
-                                             std::move(leased[q]));
-          }
-        }
-        deformed_ok = true;
-      } catch (const grid::NonFiniteFieldError&) {
-        ctx->registry->recover_after_fault(recover_timeout);
-      } catch (const mpisim::CommError&) {
-        ctx->registry->recover_after_fault(recover_timeout);
+    try {
+      for (int qi : my_completed) materialize(qi);
+      std::map<
+          std::tuple<index_t, index_t, index_t, int, int, int, int, int>,
+          std::vector<int>>
+          groups;
+      for (int i = 0; i < jn; ++i) {
+        const BatchJobSpec& spec = queue_[my_completed[i]];
+        const semilag::TransportConfig tc =
+            transport_config(spec.request.options);
+        groups[{spec.dims[0], spec.dims[1], spec.dims[2], tc.nt,
+                static_cast<int>(tc.method), tc.incompressible ? 1 : 0,
+                static_cast<int>(tc.wire), tc.overlap ? 1 : 0}]
+            .push_back(i);
       }
+      for (auto& [key, members] : groups) {
+        const int g = static_cast<int>(members.size());
+        const BatchJobSpec& spec0 = queue_[my_completed[members[0]]];
+        const semilag::TransportConfig tc =
+            transport_config(spec0.request.options);
+        auto decomp = ctx->registry->decomp(spec0.dims);
+        std::vector<std::shared_ptr<semilag::Transport>> leased(g);
+        std::vector<semilag::Transport*> transports(g);
+        std::vector<const ScalarField*> templates(g);
+        for (int q = 0; q < g; ++q) {
+          const int qi = my_completed[members[q]];
+          leased[q] = ctx->registry->acquire_transport(spec0.dims, tc);
+          transports[q] = leased[q].get();
+          transports[q]->set_velocity(my_reports[qi].velocity);
+          templates[q] = jobdata[qi].rho_t;  // unsmoothed template
+        }
+        interp::FusedInterp fused(*decomp, tc.wire, tc.overlap);
+        semilag::solve_states_fused(
+            std::span<semilag::Transport* const>(transports),
+            std::span<const ScalarField* const>(templates), fused);
+        for (int q = 0; q < g; ++q) {
+          out.deformed[static_cast<std::size_t>(members[q])] =
+              transports[q]->final_state();
+          ctx->registry->release_transport(spec0.dims, tc,
+                                           std::move(leased[q]));
+        }
+      }
+      deformed_ok = true;
+    } catch (const grid::NonFiniteFieldError&) {
+      ctx->registry->recover_after_fault(recover_timeout);
+    } catch (const mpisim::CommError&) {
+      ctx->registry->recover_after_fault(recover_timeout);
     }
     if (!deformed_ok) {
       for (int i = 0; i < jn; ++i) {

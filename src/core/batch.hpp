@@ -115,12 +115,11 @@ struct BatchOptions {
   /// not exceeding the job count; 1 when any job carries raw input
   /// pointers). Must divide the rank count.
   int shards = 0;
-  /// Fuse the uniform phases of co-resident same-shape jobs (input
-  /// pre-smoothing, deformed-template transport) into single collectives.
-  /// Per-job results are bitwise unaffected.
-  bool fuse_exchanges = true;
-  /// Also compute each job's deformed template rho_T(y1) (through the
-  /// fused transport when fuse_exchanges is set).
+  /// Also compute each job's deformed template rho_T(y1). The uniform
+  /// phases of co-resident same-shape jobs (input pre-smoothing and this
+  /// deformed-template transport) always run fused into single collectives;
+  /// per-job results are bitwise unaffected. A fault in a fused phase falls
+  /// back to per-job smoothing / transports.
   bool want_deformed = false;
   bool verbose = false;  ///< Per-job progress lines on rank 0 of each shard.
 

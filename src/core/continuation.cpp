@@ -305,21 +305,4 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
   return out;
 }
 
-GridContinuationResult run_grid_continuation(grid::PencilDecomp& fine_decomp,
-                                             const RegistrationOptions& opt,
-                                             const ScalarField& rho_t,
-                                             const ScalarField& rho_r) {
-  MultilevelOptions mopt;
-  mopt.levels = 2;
-  // Legacy behavior: exactly one halving, no floor beyond what keeps the
-  // grid a valid FFT size.
-  mopt.coarsest_dim = 2;
-  MultilevelResult ml =
-      run_multilevel_continuation(fine_decomp, opt, rho_t, rho_r, mopt);
-  GridContinuationResult out;
-  out.coarse = std::move(ml.coarsest);
-  out.fine = std::move(ml.fine);
-  return out;
-}
-
 }  // namespace diffreg::core

@@ -125,17 +125,4 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
                                              const ScalarField& rho_r,
                                              const MultilevelOptions& mopt);
 
-struct GridContinuationResult {
-  RegistrationResult coarse;  // half-resolution solve
-  RegistrationResult fine;    // full-resolution solve, warm started
-};
-
-/// Two-level grid continuation: the levels = 2 special case of
-/// run_multilevel_continuation, kept for callers of the original API.
-/// Any grid dims >= 4 are supported (odd dims included). Collective.
-GridContinuationResult run_grid_continuation(grid::PencilDecomp& fine_decomp,
-                                             const RegistrationOptions& opt,
-                                             const ScalarField& rho_t,
-                                             const ScalarField& rho_r);
-
 }  // namespace diffreg::core

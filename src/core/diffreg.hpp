@@ -33,7 +33,6 @@
 #include "interp/interp_plan.hpp"
 #include "interp/kernels.hpp"
 #include "mpisim/communicator.hpp"
-#include "semilag/time_varying.hpp"
 #include "semilag/transport.hpp"
 #include "spectral/operators.hpp"
 #include "spectral/resample.hpp"

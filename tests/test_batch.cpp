@@ -465,7 +465,6 @@ TEST(FusedPhases, FusedDeformedTemplateMatchesPerJob) {
     BatchOptions bopt;
     bopt.shards = 1;
     bopt.want_deformed = true;
-    bopt.fuse_exchanges = true;
     auto rep = batch.run_all(bopt);
 
     ASSERT_EQ(rep.deformed.size(), amps.size());

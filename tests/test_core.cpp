@@ -603,6 +603,8 @@ TEST(Newton, SmallerBetaGivesBetterMatchAndMoreWork) {
     auto weak = solve_with_beta(1e-4);
     EXPECT_LT(weak.rel_residual, strong.rel_residual);
     EXPECT_GE(weak.newton.total_matvecs, strong.newton.total_matvecs);
+    // Fig. 2(c): weaker regularization lets det(grad y) spread wider.
+    EXPECT_GT(weak.max_det - weak.min_det, strong.max_det - strong.min_det);
   });
 }
 

@@ -462,16 +462,20 @@ TEST(GridContinuation, CoarseWarmStartHelpsTheFineSolve) {
     core::RegistrationSolver cold_solver(fine, opt);
     auto cold = cold_solver.run(rho_t, rho_r);
 
-    auto two_level = core::run_grid_continuation(fine, opt, rho_t, rho_r);
+    // Two levels, one halving: 24 -> 12.
+    core::MultilevelOptions mopt;
+    mopt.levels = 2;
+    mopt.coarsest_dim = 2;
+    auto ml = core::run_multilevel_continuation(fine, opt, rho_t, rho_r,
+                                                mopt);
 
     // The two-level fine solve must reach a comparable fit with no more
     // fine-grid work than the cold start.
-    EXPECT_LE(two_level.fine.newton.total_matvecs,
-              cold.newton.total_matvecs);
-    EXPECT_LT(two_level.fine.rel_residual, cold.rel_residual + 0.05);
-    EXPECT_GT(two_level.fine.min_det, 0.0);
+    EXPECT_LE(ml.fine.newton.total_matvecs, cold.newton.total_matvecs);
+    EXPECT_LT(ml.fine.rel_residual, cold.rel_residual + 0.05);
+    EXPECT_GT(ml.fine.min_det, 0.0);
     // And the coarse stage did real work.
-    EXPECT_GT(two_level.coarse.newton.total_matvecs, 0);
+    EXPECT_GT(ml.coarsest.newton.total_matvecs, 0);
   });
 }
 
