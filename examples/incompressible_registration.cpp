@@ -30,7 +30,8 @@ int main() {
     opt.beta = 1e-2;
     opt.max_newton_iters = 10;
     core::RegistrationSolver solver(decomp, opt);
-    auto result = solver.run(rho_t, rho_r);
+    auto result =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     // Check the incompressibility invariants.
     grid::ScalarField div_v;

@@ -34,7 +34,8 @@ int main() {
     opt.max_newton_iters = 10;
     opt.verbose = comm.is_root();
     core::RegistrationSolver solver(decomp, opt);
-    auto result = solver.run(rho_t, rho_r);
+    auto result =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     if (comm.is_root()) {
       std::printf("quickstart: %lld^3 grid, %d ranks\n",

@@ -250,7 +250,8 @@ int main(int argc, char** argv) {
       summary_beta = cont.final_beta;
       result = std::move(cont.best);
     } else {
-      result = solver.run(rho_t, rho_r);
+      result = solver.solve(
+          {.rho_t = &rho_t, .rho_r = &rho_r, .options = opt.reg});
     }
 
     if (root) {

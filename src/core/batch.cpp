@@ -22,16 +22,6 @@ namespace diffreg::core {
 
 namespace {
 
-semilag::TransportConfig transport_config(const RegistrationOptions& opt) {
-  semilag::TransportConfig tc;
-  tc.nt = opt.nt;
-  tc.method = opt.interp_method;
-  tc.incompressible = opt.incompressible;
-  tc.wire = opt.wire();
-  tc.overlap = opt.overlap;
-  return tc;
-}
-
 Vec3 smoothing_sigma(const RegistrationOptions& opt, const Int3& dims) {
   return {opt.smoothing_cells * kTwoPi / dims[0],
           opt.smoothing_cells * kTwoPi / dims[1],
@@ -679,17 +669,11 @@ BatchReport BatchSolver::run_all(const BatchOptions& opts) {
     bool deformed_ok = false;
     try {
       for (int qi : my_completed) materialize(qi);
-      std::map<
-          std::tuple<index_t, index_t, index_t, int, int, int, int, int>,
-          std::vector<int>>
-          groups;
+      std::map<PlanRegistry::TransportKey, std::vector<int>> groups;
       for (int i = 0; i < jn; ++i) {
         const BatchJobSpec& spec = queue_[my_completed[i]];
-        const semilag::TransportConfig tc =
-            transport_config(spec.request.options);
-        groups[{spec.dims[0], spec.dims[1], spec.dims[2], tc.nt,
-                static_cast<int>(tc.method), tc.incompressible ? 1 : 0,
-                static_cast<int>(tc.wire), tc.overlap ? 1 : 0}]
+        groups[PlanRegistry::transport_key(
+                   spec.dims, transport_config(spec.request.options))]
             .push_back(i);
       }
       for (auto& [key, members] : groups) {

@@ -251,7 +251,10 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
       // this replays exactly the iterates the killed run never finished
       // (level-end checkpoints replay zero: the warm start is already
       // converged).
-      result = solver.run(rho_ts[k], rho_rs[k], &resume_v);
+      result = solver.solve({.rho_t = &rho_ts[k],
+                             .rho_r = &rho_rs[k],
+                             .v0 = &resume_v,
+                             .options = lopt});
       result.newton.iterations += base_iters;
       if (k == nlevels - 1) out.coarsest = result;
     } else if (k == nlevels - 1) {
@@ -264,7 +267,8 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
         lopt.beta = cont.final_beta;  // for the report below
         result = std::move(cont.best);
       } else {
-        result = solver.run(rho_ts[k], rho_rs[k]);
+        result = solver.solve(
+            {.rho_t = &rho_ts[k], .rho_r = &rho_rs[k], .options = lopt});
         out.gradient_reference = result.newton.initial_gradient_norm;
       }
       out.coarsest = result;
@@ -276,7 +280,10 @@ MultilevelResult run_multilevel_continuation(grid::PencilDecomp& fine_decomp,
                                      opt.wire());
       VectorField v0;
       prolong.apply(prev.velocity, v0);
-      result = solver.run(rho_ts[k], rho_rs[k], &v0);
+      result = solver.solve({.rho_t = &rho_ts[k],
+                             .rho_r = &rho_rs[k],
+                             .v0 = &v0,
+                             .options = lopt});
     }
     out.levels.push_back(
         make_level_report(level_dims[k], lopt.beta, result, wall.seconds()));

@@ -9,6 +9,7 @@
 #include "core/regularization.hpp"
 #include "grid/field_math.hpp"
 #include "interp/kernels.hpp"
+#include "semilag/transport.hpp"
 
 namespace diffreg::core {
 
@@ -120,5 +121,19 @@ struct RegistrationOptions {
 
   bool verbose = false;
 };
+
+/// The transport configuration a solve with `opt` runs: the standalone
+/// solver, the two-level preconditioner's coarse transport and the batch
+/// service's pooled transports all build from this one mapping.
+inline semilag::TransportConfig transport_config(
+    const RegistrationOptions& opt) {
+  semilag::TransportConfig tc;
+  tc.nt = opt.nt;
+  tc.method = opt.interp_method;
+  tc.incompressible = opt.incompressible;
+  tc.wire = opt.wire();
+  tc.overlap = opt.overlap;
+  return tc;
+}
 
 }  // namespace diffreg::core

@@ -118,18 +118,11 @@ class PlanRegistry {
   std::size_t spectral_entries() const { return spectrals_.size(); }
   std::size_t resample_entries() const { return resamples_.size(); }
 
- private:
-  using DimsKey = std::tuple<index_t, index_t, index_t>;
-  // dims + wire + overlap.
-  using SpectralKey = std::tuple<index_t, index_t, index_t, int, int>;
-  // from-dims + to-dims + wire.
-  using ResampleKey = std::tuple<index_t, index_t, index_t, index_t, index_t,
-                                 index_t, int>;
-  // dims + nt + method + incompressible + wire + overlap.
+  // dims + nt + method + incompressible + wire + overlap: the pool key of a
+  // transport, and the group key of the batch's fused deformed-template
+  // transport (same key, same lockstep schedule).
   using TransportKey =
       std::tuple<index_t, index_t, index_t, int, int, int, int, int>;
-
-  static DimsKey dims_key(const Int3& d) { return {d[0], d[1], d[2]}; }
   static TransportKey transport_key(const Int3& d,
                                     const semilag::TransportConfig& tc) {
     return {d[0],
@@ -141,6 +134,16 @@ class PlanRegistry {
             static_cast<int>(tc.wire),
             tc.overlap ? 1 : 0};
   }
+
+ private:
+  using DimsKey = std::tuple<index_t, index_t, index_t>;
+  // dims + wire + overlap.
+  using SpectralKey = std::tuple<index_t, index_t, index_t, int, int>;
+  // from-dims + to-dims + wire.
+  using ResampleKey = std::tuple<index_t, index_t, index_t, index_t, index_t,
+                                 index_t, int>;
+
+  static DimsKey dims_key(const Int3& d) { return {d[0], d[1], d[2]}; }
 
   mpisim::Communicator comm_;
   std::map<DimsKey, std::shared_ptr<grid::PencilDecomp>> decomps_;

@@ -5,21 +5,6 @@
 
 namespace diffreg::core {
 
-namespace {
-
-semilag::TransportConfig coarse_transport_config(
-    const RegistrationOptions& opt) {
-  semilag::TransportConfig tc;
-  tc.nt = opt.nt;
-  tc.method = opt.interp_method;
-  tc.incompressible = opt.incompressible;
-  tc.wire = opt.wire();
-  tc.overlap = opt.overlap;
-  return tc;
-}
-
-}  // namespace
-
 TwoLevelPreconditioner::TwoLevelPreconditioner(
     grid::PencilDecomp& fine_decomp, const RegistrationOptions& opt,
     const ScalarField& rho_t_s, const ScalarField& rho_r_s)
@@ -28,7 +13,7 @@ TwoLevelPreconditioner::TwoLevelPreconditioner(
                                             opt.precond_coarsest_dim),
                      fine_decomp.p1(), fine_decomp.p2()),
       ops_(coarse_decomp_, opt.wire(), opt.overlap),
-      transport_(ops_, coarse_transport_config(opt)),
+      transport_(ops_, transport_config(opt)),
       reg_(ops_, opt.reg_type, opt.beta),
       restrict_plan_(fine_decomp, coarse_decomp_, opt.wire()),
       prolong_plan_(coarse_decomp_, fine_decomp, opt.wire()),

@@ -68,17 +68,6 @@ void RegistrationSolver::ensure_ops(WirePrecision wire, bool overlap) {
   ops_overlap_ = overlap;
 }
 
-semilag::TransportConfig RegistrationSolver::transport_config(
-    const RegistrationOptions& opt) const {
-  semilag::TransportConfig tc;
-  tc.nt = opt.nt;
-  tc.method = opt.interp_method;
-  tc.incompressible = opt.incompressible;
-  tc.wire = opt.wire();
-  tc.overlap = opt.overlap;
-  return tc;
-}
-
 void RegistrationSolver::preprocess(const ScalarField& in, ScalarField& out,
                                     const RegistrationOptions& opt) {
   if (!opt.smooth_inputs) {
@@ -90,17 +79,6 @@ void RegistrationSolver::preprocess(const ScalarField& in, ScalarField& out,
                    opt.smoothing_cells * kTwoPi / dims[1],
                    opt.smoothing_cells * kTwoPi / dims[2]};
   ops_->gaussian_smooth(in, sigma, out);
-}
-
-RegistrationResult RegistrationSolver::run(const ScalarField& rho_t,
-                                           const ScalarField& rho_r,
-                                           const VectorField* v0) {
-  SolveRequest req;
-  req.rho_t = &rho_t;
-  req.rho_r = &rho_r;
-  req.v0 = v0;
-  req.options = options_;
-  return solve(req);
 }
 
 SolveReport RegistrationSolver::solve(const SolveRequest& request) {

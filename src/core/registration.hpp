@@ -10,15 +10,15 @@
 // pure function of its request — the solver holds no mutable option state,
 // so drivers that adapt parameters between solves (beta continuation, the
 // batch service) submit a fresh request per stage instead of mutating the
-// solver. `run(rho_t, rho_r, v0)` stays as a thin convenience wrapper that
-// solves a request built from the constructor options.
+// solver.
 //
 // Usage (inside an mpisim::run_spmd rank, or with a size-1 communicator):
 //
 //   grid::PencilDecomp decomp(comm, {64, 64, 64});
 //   core::RegistrationOptions opt;
 //   core::RegistrationSolver solver(decomp, opt);
-//   auto result = solver.run(rho_t_local, rho_r_local);
+//   auto result = solver.solve(
+//       {.rho_t = &rho_t_local, .rho_r = &rho_r_local, .options = opt});
 //
 // With a PlanRegistry (the batch service path), the solver leases its
 // spectral operators and pools its transports instead of owning them, so B
@@ -44,7 +44,8 @@ class PlanRegistry;
 
 /// One registration job: everything a solve needs, in one value. The field
 /// pointers must stay valid for the duration of solve(); the request itself
-/// is copyable (job queues hold them by value).
+/// is copyable (job queues hold them by value). Every field has a default,
+/// so a designated initializer names only what it sets.
 struct SolveRequest {
   const ScalarField* rho_t = nullptr;  ///< Template image (pencil-local).
   const ScalarField* rho_r = nullptr;  ///< Reference image (pencil-local).
@@ -62,7 +63,7 @@ struct SolveRequest {
   double deadline_seconds = 0;
   /// When non-empty, a restart checkpoint is written after every
   /// `checkpoint_every`-th accepted Newton iterate (core/checkpoint.hpp).
-  std::string checkpoint_path;
+  std::string checkpoint_path{};
   int checkpoint_every = 1;
 };
 
@@ -117,12 +118,6 @@ class RegistrationSolver {
   /// Solves one registration job. Collective.
   SolveReport solve(const SolveRequest& request);
 
-  /// Convenience wrapper: solves a request built from the constructor
-  /// options. `v0` optionally warm-starts the velocity (used by beta
-  /// continuation). Collective.
-  RegistrationResult run(const ScalarField& rho_t, const ScalarField& rho_r,
-                         const VectorField* v0 = nullptr);
-
   /// Deformed template rho_T(y1) for the result's velocity: transports the
   /// (unsmoothed) template to t = 1. Collective.
   void deform_template(const ScalarField& rho_t, const VectorField& velocity,
@@ -142,8 +137,6 @@ class RegistrationSolver {
   /// (or registry-leased) set when the request matches it, a rebuilt/newly
   /// leased set otherwise.
   void ensure_ops(WirePrecision wire, bool overlap);
-  semilag::TransportConfig transport_config(
-      const RegistrationOptions& opt) const;
 
   grid::PencilDecomp* decomp_;
   RegistrationOptions options_;

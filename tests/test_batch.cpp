@@ -1,7 +1,7 @@
 // Batch service tests: PlanRegistry lease/reuse semantics (same-shape jobs
 // build each plan family exactly once, mixed shapes and wire precisions get
-// distinct entries), the transport pool, SolveRequest/solve() vs the legacy
-// run() entrypoint, BatchSolver-vs-sequential bitwise identity at p = 1, 2
+// distinct entries), the transport pool, SolveRequest job metadata and
+// repeatability, BatchSolver-vs-sequential bitwise identity at p = 1, 2
 // and 4, priority/deadline semantics, and the fused cross-job paths
 // (gaussian_smooth_many, solve_states_fused through FusedInterp).
 #include <gtest/gtest.h>
@@ -124,15 +124,15 @@ TEST(PlanRegistry, TransportPoolReusesReleasedInstances) {
 // --------------------------------------------------------------------------
 // SolveRequest as the one entrypoint.
 
-TEST(SolveRequest, MatchesLegacyRunBitwise) {
+TEST(SolveRequest, EchoesJobIdAndRepeatsBitwise) {
   mpisim::run_spmd(2, [&](mpisim::Communicator& comm) {
     PencilDecomp decomp(comm, {16, 16, 16});
     ScalarField rho_t, rho_r;
     const RegistrationOptions opt = small_options();
     make_pair(decomp, 0.5, opt.nt, rho_t, rho_r);
 
-    RegistrationSolver legacy(decomp, opt);
-    auto ref = legacy.run(rho_t, rho_r);
+    RegistrationSolver first(decomp, opt);
+    auto ref = first.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     RegistrationSolver solver(decomp, opt);
     SolveRequest req;
@@ -144,6 +144,7 @@ TEST(SolveRequest, MatchesLegacyRunBitwise) {
 
     EXPECT_TRUE(same_bits(ref.velocity, rep.velocity));
     EXPECT_EQ(ref.newton.iterations, rep.newton.iterations);
+    EXPECT_EQ(ref.job_id, 0u);
     EXPECT_EQ(rep.job_id, 42u);
     EXPECT_TRUE(rep.deadline_met);  // no deadline set
   });
@@ -156,7 +157,8 @@ TEST(SolveRequest, RegistryBackedSolverMatchesStandaloneBitwise) {
     PencilDecomp standalone_decomp(comm, {16, 16, 16});
     make_pair(standalone_decomp, 0.5, opt.nt, rho_t, rho_r);
     RegistrationSolver standalone(standalone_decomp, opt);
-    auto ref = standalone.run(rho_t, rho_r);
+    auto ref =
+        standalone.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     auto reg = std::make_shared<PlanRegistry>(comm);
     auto decomp = reg->decomp({16, 16, 16});
@@ -207,7 +209,9 @@ void expect_batch_matches_sequential(int ranks) {
       ScalarField rho_t, rho_r;
       make_pair(decomp, amp, opt.nt, rho_t, rho_r);
       RegistrationSolver solver(decomp, opt);
-      ref.push_back(solver.run(rho_t, rho_r).velocity);
+      ref.push_back(
+          solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt})
+              .velocity);
     }
 
     BatchSolver batch(comm);
@@ -443,7 +447,8 @@ TEST(FusedPhases, FusedDeformedTemplateMatchesPerJob) {
       ScalarField rho_t, rho_r;
       make_pair(decomp, amp, opt.nt, rho_t, rho_r);
       RegistrationSolver solver(decomp, opt);
-      auto res = solver.run(rho_t, rho_r);
+      auto res =
+          solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
       ScalarField deformed;
       solver.deform_template(rho_t, res.velocity, deformed);
       ref.push_back(std::move(deformed));

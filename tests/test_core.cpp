@@ -260,11 +260,13 @@ TEST(MixedPrecision, MixedSolveReachesTheSameGtolWithinOneNewtonIteration) {
     opt.max_newton_iters = 10;
 
     RegistrationSolver solver_double(decomp, opt);
-    auto res_double = solver_double.run(rho_t, rho_r);
+    auto res_double =
+        solver_double.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     opt.precision = Precision::kMixed;
     RegistrationSolver solver_mixed(decomp, opt);
-    auto res_mixed = solver_mixed.run(rho_t, rho_r);
+    auto res_mixed =
+        solver_mixed.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     if (comm.is_root()) {
       double_report = res_double.newton;
@@ -470,7 +472,8 @@ TEST(Newton, ReportsPlanBuildsWellBelowMatvecs) {
     opt.gtol = 1e-2;
     opt.max_newton_iters = 6;
     RegistrationSolver solver(decomp, opt);
-    auto result = solver.run(rho_t, rho_r);
+    auto result =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     EXPECT_GT(result.newton.plan_builds, 0);
     // Builds are one per objective evaluation of a new trial velocity —
@@ -503,7 +506,8 @@ TEST_P(NewtonRanks, ConvergesOnSyntheticProblem) {
     opt.gtol = 1e-2;
     opt.max_newton_iters = 10;
     RegistrationSolver solver(decomp, opt);
-    auto result = solver.run(rho_t, rho_r);
+    auto result =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     EXPECT_TRUE(result.newton.converged);
     EXPECT_LT(result.rel_residual, 0.6);
@@ -529,7 +533,8 @@ TEST(Newton, DecompositionInvarianceOfTheSolve) {
       opt.beta = 1e-2;
       opt.max_newton_iters = 3;
       RegistrationSolver solver(decomp, opt);
-      auto result = solver.run(rho_t, rho_r);
+      auto result =
+          solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
       if (comm.is_root()) rel = result.rel_residual;
     });
     return rel;
@@ -552,7 +557,8 @@ TEST(Newton, IncompressibleSolveKeepsInvariants) {
     opt.beta = 1e-2;
     opt.max_newton_iters = 6;
     RegistrationSolver solver(decomp, opt);
-    auto result = solver.run(rho_t, rho_r);
+    auto result =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     grid::ScalarField div_v;
     ops.divergence(result.velocity, div_v);
@@ -575,7 +581,8 @@ TEST(Newton, FullNewtonAlsoConverges) {
     opt.beta = 1e-2;
     opt.max_newton_iters = 8;
     RegistrationSolver solver(decomp, opt);
-    auto result = solver.run(rho_t, rho_r);
+    auto result =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
     EXPECT_LT(result.rel_residual, 0.8);
     EXPECT_GT(result.min_det, 0.0);
   });
@@ -597,7 +604,7 @@ TEST(Newton, SmallerBetaGivesBetterMatchAndMoreWork) {
       opt.max_newton_iters = 4;
       opt.gtol = 1e-3;
       RegistrationSolver solver(decomp, opt);
-      return solver.run(rho_t, rho_r);
+      return solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
     };
     auto strong = solve_with_beta(1e-1);
     auto weak = solve_with_beta(1e-4);
@@ -792,16 +799,26 @@ TEST(TwoLevelPreconditioner, ReducesKrylovIterationsAtSmallBeta) {
     };
 
     RegistrationSolver smooth_solver(decomp, opt);
-    auto smooth = smooth_solver.run(rho_t, rho_r);
+    auto smooth =
+        smooth_solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     opt.two_level_precond = true;
     opt.precond_coarsest_dim = 8;
     RegistrationSolver two_level_solver(decomp, opt);
-    auto two_level = two_level_solver.run(rho_t, rho_r);
+    auto two_level = two_level_solver.solve(
+        {.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     EXPECT_LT(krylov_total(two_level), krylov_total(smooth));
     EXPECT_GT(two_level.coarse_matvecs, 0);
+    // Pinned costs (ctest label `counters`), one-sided and 35% loose: the
+    // solver's stopping tests amplify floating-point contraction
+    // differences across compilers.
+    constexpr int kSmoothKrylov = 10, kTwoLevelKrylov = 5, kCoarseMatvecs = 40;
+    EXPECT_LE(krylov_total(smooth), 1.35 * kSmoothKrylov);
+    EXPECT_LE(krylov_total(two_level), 1.35 * kTwoLevelKrylov);
+    EXPECT_LE(two_level.coarse_matvecs, 1.35 * kCoarseMatvecs);
     // Same solution quality: both converge to the same problem's optimum.
+    EXPECT_TRUE(smooth.newton.converged);
     EXPECT_TRUE(two_level.newton.converged);
     EXPECT_NEAR(two_level.rel_residual, smooth.rel_residual, 0.05);
     EXPECT_GT(two_level.min_det, 0.0);
@@ -823,7 +840,8 @@ TEST(TwoLevelPreconditioner, IncompressibleSolveStaysDivergenceFree) {
     opt.incompressible = true;
     opt.two_level_precond = true;
     RegistrationSolver solver(decomp, opt);
-    auto result = solver.run(rho_t, rho_r);
+    auto result =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     ScalarField div;
     ops.divergence(result.velocity, div);
@@ -953,7 +971,9 @@ TEST(Guard, ThrowsOnNonFiniteInputImages) {
                          opt.smooth_inputs = false;  // keep the Inf local
                          opt.max_newton_iters = 3;
                          RegistrationSolver solver(decomp, opt);
-                         solver.run(rho_t, rho_r);
+                         solver.solve({.rho_t = &rho_t,
+                                       .rho_r = &rho_r,
+                                       .options = opt});
                        }),
       grid::NonFiniteFieldError);
 }
@@ -971,11 +991,13 @@ TEST(Guard, GuardedSolveIsBitwiseIdenticalToUnguarded) {
     RegistrationOptions opt;
     opt.max_newton_iters = 5;
     RegistrationSolver plain(decomp, opt);
-    auto res_plain = plain.run(rho_t, rho_r);
+    auto res_plain =
+        plain.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     opt.guard = true;
     RegistrationSolver guarded(decomp, opt);
-    auto res_guarded = guarded.run(rho_t, rho_r);
+    auto res_guarded =
+        guarded.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     EXPECT_EQ(res_guarded.newton.iterations, res_plain.newton.iterations);
     EXPECT_EQ(res_guarded.newton.line_search_recoveries, 0);
@@ -1007,7 +1029,7 @@ TEST(Guard, MixedPrecisionStagnationEscalatesToFp64) {
     opt.forcing_max = 1e-6;  // unreachable in one sweep
     opt.max_newton_iters = 3;
     RegistrationSolver solver(decomp, opt);
-    auto res = solver.run(rho_t, rho_r);
+    auto res = solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
     if (comm.is_root()) report = res.newton;
   });
   EXPECT_GE(report.fp64_escalations, 1);
@@ -1034,7 +1056,7 @@ TEST(Newton, IterateHookSeesEveryAcceptedIterate) {
       EXPECT_EQ(grid::count_nonfinite(*info.velocity), 0);
     };
     RegistrationSolver solver(decomp, opt);
-    auto res = solver.run(rho_t, rho_r);
+    auto res = solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
     EXPECT_EQ(local_calls, res.newton.iterations);
     calls += local_calls;
   });

@@ -97,7 +97,8 @@ TEST(Integration, AnisotropicNonPowerOfTwoGridRegisters) {
     opt.beta = 1e-2;
     opt.max_newton_iters = 8;
     core::RegistrationSolver solver(decomp, opt);
-    auto result = solver.run(rho_t, rho_r);
+    auto result =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
     EXPECT_LT(result.rel_residual, 0.7);
     EXPECT_GT(result.min_det, 0.0);
   });
@@ -117,7 +118,8 @@ TEST(Integration, RecoveredVelocityWarpsTemplateOntoReference) {
     opt.beta = 1e-3;
     opt.max_newton_iters = 8;
     core::RegistrationSolver solver(decomp, opt);
-    auto result = solver.run(rho_t, rho_r);
+    auto result =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
 
     ScalarField deformed;
     solver.deform_template(rho_t, result.velocity, deformed);
@@ -143,10 +145,14 @@ TEST(Integration, WarmStartReducesNewtonWork) {
     opt.max_newton_iters = 10;
     core::RegistrationSolver solver(decomp, opt);
 
-    auto cold = solver.run(rho_t, rho_r);
+    auto cold =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
     // Warm start from the converged velocity: should terminate almost
     // immediately with no additional matvec work.
-    auto warm = solver.run(rho_t, rho_r, &cold.velocity);
+    auto warm = solver.solve({.rho_t = &rho_t,
+                              .rho_r = &rho_r,
+                              .v0 = &cold.velocity,
+                              .options = opt});
     EXPECT_LE(warm.newton.total_matvecs, cold.newton.total_matvecs);
     EXPECT_LE(warm.newton.iterations, 1);
   });
@@ -201,7 +207,8 @@ TEST(Integration, SmoothingControlsNonSmoothInputs) {
     opt.max_newton_iters = 8;
     opt.smooth_inputs = true;
     core::RegistrationSolver solver(decomp, opt);
-    auto result = solver.run(rho_t, rho_r);
+    auto result =
+        solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
     EXPECT_LT(result.rel_residual, 0.8);
     EXPECT_GT(result.min_det, 0.0);
   });
@@ -217,7 +224,7 @@ TEST(Integration, TimingCategoriesAreAllExercisedByASolve) {
     core::RegistrationOptions opt;
     opt.max_newton_iters = 2;
     core::RegistrationSolver solver(decomp, opt);
-    solver.run(rho_t, rho_r);
+    solver.solve({.rho_t = &rho_t, .rho_r = &rho_r, .options = opt});
   });
   Timings max;
   for (const auto& t : timings) max.max_with(t);
